@@ -19,6 +19,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== benchmark package tests =="
+# benchmark/ is its own cargo package (empty [workspace]), so the
+# workspace test run above does not reach it.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== benches compile =="
 cargo bench --workspace --no-run -q
 

@@ -11,11 +11,23 @@
 //! spirit to the paper's loops) and iterate to a fixed point. On two-class
 //! inputs it recovers the same optima as the exhaustive grid (see the
 //! tests), and the fixed point is deterministic.
+//!
+//! Scoring a width vector is the descent's hot path. Each `optimize` call
+//! decomposes the sample once into the grid's strided runs, prices one
+//! request per distinct residue of each run and replays those costs in
+//! sample order, stops a vector once its running sum exceeds the axis
+//! incumbent, and remembers every vector it has scored — the starts
+//! revisit many of them. The result is the same left fold a
+//! per-request sum computes, so widths and cost bits are exactly those of
+//! the unfolded descent (a test oracle pins this).
 
+use crate::fold::OrderedSum;
 use crate::model::CostModelParams;
+use crate::optimizer::{effective_step, gcd, strided_runs, StridedRun};
 use harl_devices::{NetworkProfile, OpKind, OpParams, StorageProfile};
 use harl_pfs::ClusterConfig;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// One server class in the K-profile model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -194,19 +206,6 @@ impl MultiProfileOptimizer {
         }
     }
 
-    fn effective_step(&self, avg: u64) -> u64 {
-        let min_step = avg.div_ceil(self.max_grid_points.max(1) as u64);
-        self.step * min_step.div_ceil(self.step).max(1)
-    }
-
-    fn total_cost(&self, sample: &[(u64, u64, OpKind)], widths: &[u64]) -> f64 {
-        crate::fold::sum_f64(
-            sample
-                .iter()
-                .map(|&(o, r, op)| self.model.request_cost(o, r, op, widths)),
-        )
-    }
-
     /// Optimise per-class widths for a region's request sample (offsets
     /// region-relative) with average request size `avg`.
     ///
@@ -215,9 +214,35 @@ impl MultiProfileOptimizer {
     /// per-class-favoured start), axes are scanned in class order, ties
     /// prefer larger widths, and the best fixed point wins.
     pub fn optimize(&self, sample: &[(u64, u64, OpKind)], avg: u64) -> (Vec<u64>, f64) {
+        let (widths, cost, _) = self.optimize_counted(sample, avg);
+        (widths, cost)
+    }
+
+    /// [`Self::optimize`], also returning how many width vectors the
+    /// descent scored (memo hits and pruned vectors included).
+    pub(crate) fn optimize_counted(
+        &self,
+        sample: &[(u64, u64, OpKind)],
+        avg: u64,
+    ) -> (Vec<u64>, f64, u64) {
+        let mut scorer = Scorer::new(&self.model, sample);
+        let (widths, cost) = self.search(sample, avg, |w, bound| scorer.cost(w, bound));
+        (widths, cost, scorer.scored)
+    }
+
+    /// Descend from every starting point, scoring width vectors with
+    /// `score(widths, bound)`, and keep the best fixed point. `score` must
+    /// return the sample's exact summed cost whenever that is at most
+    /// `bound`, and otherwise any value above `bound`.
+    fn search(
+        &self,
+        sample: &[(u64, u64, OpKind)],
+        avg: u64,
+        mut score: impl FnMut(&[u64], f64) -> f64,
+    ) -> (Vec<u64>, f64) {
         let k = self.model.class_count();
         assert!(k > 0, "no classes");
-        let step = self.effective_step(avg.max(1));
+        let step = effective_step(self.step, self.max_grid_points, avg.max(1));
         let r_bar = avg.max(step).div_ceil(step) * step;
 
         let zero_out = |mut w: Vec<u64>| -> Vec<u64> {
@@ -284,7 +309,7 @@ impl MultiProfileOptimizer {
                     .zip(w)
                     .any(|(c, &wi)| c.count > 0 && wi > 0)
             })
-            .map(|start| self.descend(sample, start, step, r_bar))
+            .map(|start| self.descend(start, step, r_bar, &mut score))
             // The infinite-cost sentinel loses to every real descent (and
             // on a cost tie, any non-empty widths vector orders above the
             // empty one), so it only surfaces if no start survives the
@@ -298,16 +323,18 @@ impl MultiProfileOptimizer {
             })
     }
 
-    /// One coordinate-descent run from a fixed starting point.
+    /// One coordinate-descent run from a fixed starting point. Each
+    /// candidate is scored against the axis incumbent, so a vector that
+    /// cannot win (its cost would exceed `best_cost`) may stop early.
     fn descend(
         &self,
-        sample: &[(u64, u64, OpKind)],
         mut widths: Vec<u64>,
         step: u64,
         r_bar: u64,
+        score: &mut impl FnMut(&[u64], f64) -> f64,
     ) -> (Vec<u64>, f64) {
         let k = widths.len();
-        let mut best_cost = self.total_cost(sample, &widths);
+        let mut best_cost = score(&widths, f64::INFINITY);
 
         for _sweep in 0..self.max_sweeps {
             let mut improved = false;
@@ -327,7 +354,7 @@ impl MultiProfileOptimizer {
                         .zip(&widths)
                         .any(|(c, &cw)| c.count > 0 && cw > 0);
                     if valid {
-                        let cost = self.total_cost(sample, &widths);
+                        let cost = score(&widths, best_cost);
                         if cost < best_cost || (cost == best_cost && w > best_w) {
                             if cost < best_cost {
                                 improved = true;
@@ -349,15 +376,210 @@ impl MultiProfileOptimizer {
     }
 }
 
+/// What one `optimize` call knows about a width vector's summed cost.
+#[derive(Debug, Clone, Copy)]
+enum Known {
+    /// The exact sum.
+    Exact(f64),
+    /// A running sum that passed the bound the vector was scored against;
+    /// the exact sum is at least this.
+    AtLeast(f64),
+}
+
+/// Scores width vectors for one `optimize` call: the sample is decomposed
+/// into strided runs once, and every scored vector is remembered.
+///
+/// A score is the same left fold from `+0.0`, in sample order, that a
+/// per-request `sum_f64` computes — bit for bit. Request cost depends on
+/// the offset only through `offset mod G`, so each run prices one request
+/// per distinct residue and replays those costs in order; per-request
+/// costs are non-negative, so the fold stops once it passes the bound.
+struct Scorer<'a> {
+    model: &'a MultiProfileModel,
+    runs: Vec<StridedRun>,
+    /// One run's residue costs; reused across runs and vectors.
+    costs: Vec<f64>,
+    /// Looked up and inserted into only, never iterated.
+    memo: HashMap<Vec<u64>, Known>,
+    /// Width vectors scored, memo hits and pruned vectors included.
+    scored: u64,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(model: &'a MultiProfileModel, sample: &[(u64, u64, OpKind)]) -> Self {
+        Scorer {
+            model,
+            runs: strided_runs(sample),
+            costs: Vec::new(),
+            memo: HashMap::new(),
+            scored: 0,
+        }
+    }
+
+    /// The sample's exact summed cost under `widths` when it is at most
+    /// `bound`; otherwise a lower bound on it that exceeds `bound`.
+    fn cost(&mut self, widths: &[u64], bound: f64) -> f64 {
+        self.scored += 1;
+        match self.memo.get(widths) {
+            Some(&Known::Exact(cost)) => return cost,
+            Some(&Known::AtLeast(partial)) if partial > bound => return partial,
+            _ => {}
+        }
+        let known = self.fold(widths, bound);
+        self.memo.insert(widths.to_vec(), known);
+        match known {
+            Known::Exact(cost) | Known::AtLeast(cost) => cost,
+        }
+    }
+
+    /// The ordered fold over the sample, stopping once it passes `bound`.
+    fn fold(&mut self, widths: &[u64], bound: f64) -> Known {
+        let group: u64 = self
+            .model
+            .classes
+            .iter()
+            .zip(widths)
+            .map(|(c, &w)| c.count as u64 * w)
+            .sum();
+        let mut sum = OrderedSum::new();
+        for run in &self.runs {
+            // The residues of `o0 + j·d` cycle with period G / gcd(d, G).
+            let d = run.d % group;
+            let period = if d == 0 { 1 } else { group / gcd(d, group) };
+            self.costs.clear();
+            let mut r = run.o0 % group;
+            for _ in 0..period.min(run.count as u64) {
+                self.costs
+                    .push(self.model.request_cost(r, run.size, run.op, widths));
+                r += d;
+                if r >= group {
+                    r -= group;
+                }
+            }
+            for &cost in self.costs.iter().cycle().take(run.count) {
+                sum.add(cost);
+                if sum.value() > bound {
+                    return Known::AtLeast(sum.value());
+                }
+            }
+        }
+        Known::Exact(sum.value())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::{optimize_region, OptimizerConfig, RegionRequests};
     use crate::trace::TraceRecord;
-    use harl_devices::{hdd_2015_preset, nvme_2020_preset, ssd_2015_preset};
+    use harl_devices::{hdd_2015_preset, nvme_2020_preset, object_store_preset, ssd_2015_preset};
     use harl_simcore::SimNanos;
+    use proptest::prelude::*;
 
     const KB: u64 = 1024;
+
+    /// The descent with every width vector priced request by request: no
+    /// folding, pruning or memo. The oracle `optimize_counted` must match
+    /// bit for bit; also returns how many vectors it scored.
+    fn per_request_descent(
+        opt: &MultiProfileOptimizer,
+        sample: &[(u64, u64, OpKind)],
+        avg: u64,
+    ) -> (Vec<u64>, f64, u64) {
+        let mut scored = 0;
+        let (widths, cost) = opt.search(sample, avg, |widths, _| {
+            scored += 1;
+            crate::fold::sum_f64(
+                sample
+                    .iter()
+                    .map(|&(o, r, op)| opt.model.request_cost(o, r, op, widths)),
+            )
+        });
+        (widths, cost, scored)
+    }
+
+    /// Tiny LCG for scattering offsets and shuffling inside one case.
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *x >> 33
+    }
+
+    prop_compose! {
+        /// 1–3 phases back to back, each strided (contiguous or gapped) or
+        /// scattered, in sorted, reversed or shuffled order.
+        fn phased_sample()(
+            phases in prop::collection::vec(
+                (any::<bool>(), 0usize..9, 1u64..13, 0usize..3, any::<bool>()),
+                1..4,
+            ),
+            order in 0usize..3,
+            seed in any::<u64>(),
+        ) -> Vec<(u64, u64, OpKind)> {
+            let mut rng = seed;
+            let mut base = 0u64;
+            let mut sample = Vec::new();
+            for &(strided, size, count, gap, read) in &phases {
+                let size = [4, 16, 64, 100, 128, 200, 512, 1024, 2048][size] * KB;
+                let op = if read { OpKind::Read } else { OpKind::Write };
+                let pitch = size + [0, size, 12 * KB][gap];
+                for j in 0..count {
+                    let offset = if strided {
+                        j * pitch
+                    } else {
+                        (lcg(&mut rng) % (count * pitch / 512)) * 512
+                    };
+                    sample.push((base + offset, size, op));
+                }
+                base += count * pitch;
+            }
+            match order {
+                0 => sample.sort_by_key(|&(o, _, _)| o),
+                1 => sample.sort_by_key(|&(o, _, _)| std::cmp::Reverse(o)),
+                _ => {
+                    for i in (1..sample.len()).rev() {
+                        let j = lcg(&mut rng) as usize % (i + 1);
+                        sample.swap(i, j);
+                    }
+                }
+            }
+            sample
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Folding, pruning and the memo change nothing: the descent picks
+        /// the same widths at the same cost bits as the per-request oracle,
+        /// and scores as many vectors.
+        #[test]
+        fn descent_matches_per_request_oracle(
+            classes in prop::collection::vec((0usize..4, 1usize..7), 2..5),
+            sample in phased_sample(),
+            grid in 0usize..3,
+        ) {
+            let presets = [
+                hdd_2015_preset(),
+                ssd_2015_preset(),
+                nvme_2020_preset(),
+                object_store_preset(),
+            ];
+            let model = MultiProfileModel::new(
+                &NetworkProfile::gigabit_ethernet(),
+                classes.iter().map(|&(p, n)| (n, presets[p].clone())).collect(),
+            );
+            let mut opt = MultiProfileOptimizer::new(model);
+            opt.max_grid_points = [16, 32, 128][grid];
+            let avg = sample.iter().map(|&(_, r, _)| r).sum::<u64>() / sample.len() as u64;
+            let (widths, cost, scored) = opt.optimize_counted(&sample, avg);
+            let (want, want_cost, want_scored) = per_request_descent(&opt, &sample, avg);
+            prop_assert_eq!(widths, want);
+            prop_assert_eq!(cost.to_bits(), want_cost.to_bits());
+            prop_assert_eq!(scored, want_scored);
+        }
+    }
 
     fn sample(n: usize, size: u64, op: OpKind) -> Vec<(u64, u64, OpKind)> {
         (0..n).map(|i| (i as u64 * size, size, op)).collect()

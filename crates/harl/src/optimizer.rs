@@ -48,6 +48,14 @@
 //!   the best cost found so far; an abandoned candidate can at best tie
 //!   the incumbent on cost and is never reported, leaving the winner (and
 //!   its exact summation order) unchanged.
+//!
+//! The `K ≥ 3` descent folds through the same strided runs and prunes by
+//! the same rule, and also remembers the width vectors it has scored. It
+//! replays each run's residue costs in sample order rather than weighting
+//! them by multiplicity, so its sums are exactly per-request sums; the
+//! grid keeps its weighted sums. The two orders round differently, and
+//! each search's results are pinned to its own (see
+//! [`crate::multiprofile`] and DESIGN.md Appendix B).
 
 use crate::cast::{u64_to_usize, usize_to_u64};
 use crate::model::CostModelParams;
@@ -90,10 +98,16 @@ impl OptimizerConfig {
     /// the configured step, raised so the axis has at most
     /// `max_grid_points` points.
     pub fn effective_step(&self, avg: u64) -> u64 {
-        let min_step = avg.div_ceil(usize_to_u64(self.max_grid_points.max(1)));
-        let steps_needed = min_step.div_ceil(self.step).max(1);
-        self.step * steps_needed
+        effective_step(self.step, self.max_grid_points, avg)
     }
+}
+
+/// `step` raised to a multiple of itself so that `avg` spans at most
+/// `max_grid_points` steps — the one grid-step rule of both searches.
+pub(crate) fn effective_step(step: u64, max_grid_points: usize, avg: u64) -> u64 {
+    let min_step = avg.div_ceil(usize_to_u64(max_grid_points.max(1)));
+    let steps_needed = min_step.div_ceil(step).max(1);
+    step * steps_needed
 }
 
 /// The chosen per-class stripe widths for one region, with the predicted
@@ -240,24 +254,11 @@ pub fn optimize_region(
         return optimize_region_sampled(model, requests, avg_request_size, cfg).0;
     }
     let start = std::time::Instant::now();
-    let (choice, sampled) = optimize_region_sampled(model, requests, avg_request_size, cfg);
+    let (choice, sampled, scored) = optimize_region_sampled(model, requests, avg_request_size, cfg);
     let wall = start.elapsed();
     let labels = [("region", region.to_string())];
+    recorder.counter_add(registry::HARL_OPTIMIZER_CANDIDATES.name, &labels, scored);
     if model.class_count() == 2 {
-        let step = cfg.effective_step(avg_request_size.max(1));
-        recorder.counter_add(
-            registry::HARL_OPTIMIZER_CANDIDATES.name,
-            &labels,
-            usize_to_u64(
-                candidates(
-                    avg_request_size,
-                    step,
-                    model.classes[0].count,
-                    model.classes[1].count,
-                )
-                .len(),
-            ),
-        );
         recorder.gauge_set(
             registry::HARL_OPTIMIZER_STRIPE_H.name,
             &labels,
@@ -299,13 +300,15 @@ pub fn optimize_region(
 
 /// [`optimize_region`] that also returns how many requests the evaluation
 /// sampled, so callers that need the count (e.g. for per-request metrics)
-/// don't have to re-materialise the sample.
+/// don't have to re-materialise the sample, and how many candidates it
+/// scored (grid pairs at `K = 2`, width vectors the descent visited
+/// beyond).
 fn optimize_region_sampled(
     model: &MultiProfileModel,
     requests: &RegionRequests<'_>,
     avg_request_size: u64,
     cfg: &OptimizerConfig,
-) -> (LayoutChoice, usize) {
+) -> (LayoutChoice, usize, u64) {
     assert!(cfg.step > 0, "grid step must be positive");
     if model.class_count() != 2 {
         let sample = requests.sample(cfg.max_requests_per_eval);
@@ -316,8 +319,8 @@ fn optimize_region_sampled(
             max_grid_points: cfg.max_grid_points,
             max_sweeps: 16,
         };
-        let (widths, cost) = opt.optimize(&sample, avg_request_size);
-        return (LayoutChoice { widths, cost }, sampled);
+        let (widths, cost, scored) = opt.optimize_counted(&sample, avg_request_size);
+        return (LayoutChoice { widths, cost }, sampled, scored);
     }
     let pair = CostModelParams::from_multi(model.clone());
     let step = cfg.effective_step(avg_request_size.max(1));
@@ -327,6 +330,7 @@ fn optimize_region_sampled(
         !cands.is_empty(),
         "no stripe candidates (cluster has no servers?)"
     );
+    let scored = usize_to_u64(cands.len());
     // An empty region (no requests) has zero cost everywhere; fall back to
     // a balanced default: the fixed stripe at R̄ (or one step).
     if sample.is_empty() {
@@ -340,6 +344,7 @@ fn optimize_region_sampled(
                 cost: 0.0,
             },
             0,
+            scored,
         );
     }
 
@@ -376,6 +381,7 @@ fn optimize_region_sampled(
             cost: best.cost,
         },
         sample.len(),
+        scored,
     )
 }
 
@@ -384,31 +390,41 @@ fn optimize_region_sampled(
 ///
 /// Request cost depends on the offset only through `offset mod group`, and
 /// the residues of an arithmetic progression mod `G` cycle with period
-/// `P = G / gcd(d, G)` — so a run folds analytically into at most
-/// `min(P, count)` weighted cost evaluations per candidate, with exact
-/// multiplicities and no per-request work. Uniform regions are one long
-/// run; irregular samples decompose into short runs, where a length-1 run
-/// reproduces the plain per-request evaluation bit for bit.
-struct StridedRun {
-    o0: u64,
-    d: u64,
-    size: u64,
-    op: harl_devices::OpKind,
-    count: usize,
+/// `P = G / gcd(d, G)` — so a run needs at most `min(P, count)` cost
+/// evaluations per candidate, with no per-request work: the grid weights
+/// them by exact multiplicities, the `K ≥ 3` descent replays them in
+/// sample order. Uniform regions are one long run; irregular samples
+/// decompose into short runs, where a length-1 run reproduces the plain
+/// per-request evaluation bit for bit.
+pub(crate) struct StridedRun {
+    pub(crate) o0: u64,
+    pub(crate) d: u64,
+    pub(crate) size: u64,
+    pub(crate) op: harl_devices::OpKind,
+    pub(crate) count: usize,
 }
 
-/// Greedy decomposition of the sample into maximal strided runs.
-fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<StridedRun> {
+/// Greedy decomposition of the sample into maximal strided runs, in
+/// sample order: expanding the runs one after another reproduces the
+/// sample exactly.
+///
+/// A run only ever steps forward (`d ≥ 0`) and ends rather than step past
+/// `u64::MAX`, so `d mod G` is the true stride residue; a descending pair
+/// starts a new run.
+pub(crate) fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<StridedRun> {
     let mut runs: Vec<StridedRun> = Vec::new();
     for &(o, r, op) in sample {
         if let Some(run) = runs.last_mut() {
             if run.size == r && run.op == op {
-                if run.count == 1 {
-                    run.d = o.wrapping_sub(run.o0);
+                if run.count == 1 && o >= run.o0 {
+                    run.d = o - run.o0;
                     run.count = 2;
                     continue;
                 }
-                if o == run.o0.wrapping_add(usize_to_u64(run.count) * run.d) {
+                let next = usize_to_u64(run.count)
+                    .checked_mul(run.d)
+                    .and_then(|span| run.o0.checked_add(span));
+                if run.count > 1 && next == Some(o) {
                     run.count += 1;
                     continue;
                 }
@@ -425,7 +441,7 @@ fn strided_runs(sample: &[(u64, u64, harl_devices::OpKind)]) -> Vec<StridedRun> 
     runs
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -552,9 +568,12 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
-    use harl_devices::{hdd_2015_preset, ssd_2015_preset, NetworkProfile, OpKind};
+    use harl_devices::{
+        hdd_2015_preset, nvme_2020_preset, ssd_2015_preset, NetworkProfile, OpKind,
+    };
     use harl_pfs::ClusterConfig;
     use harl_simcore::SimNanos;
+    use proptest::prelude::*;
 
     const KB: u64 = 1024;
 
@@ -804,6 +823,104 @@ mod tests {
             .summary_snapshot(registry::HARL_MODEL_PREDICTED_REQUEST_COST_S.name, &labels)
             .expect("per-request predicted cost recorded");
         assert!((per_request.mean() - plain.cost / 64.0).abs() < 1e-12);
+    }
+
+    /// Expand runs back into requests, in order.
+    fn expand(runs: &[StridedRun]) -> Vec<(u64, u64, OpKind)> {
+        runs.iter()
+            .flat_map(|run| {
+                (0..usize_to_u64(run.count)).map(move |j| (run.o0 + j * run.d, run.size, run.op))
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Expanding every run reproduces the sample exactly, whatever its
+        /// order: runs never step backwards or past `u64::MAX`.
+        #[test]
+        fn strided_runs_expand_to_the_sample(
+            requests in prop::collection::vec((0u64..16, any::<bool>(), 1u64..3, any::<bool>()), 0..48),
+            stride in 0usize..3,
+            order in 0usize..3,
+        ) {
+            // Offsets on a stride grid, some of them counted down from
+            // u64::MAX so that extending a run would overflow.
+            let stride = [1, 4 * KB, 200 * KB][stride];
+            let mut sample: Vec<(u64, u64, OpKind)> = requests
+                .iter()
+                .map(|&(k, high, r, read)| {
+                    let o = if high { u64::MAX - k * stride } else { k * stride };
+                    (o, r * KB, if read { OpKind::Read } else { OpKind::Write })
+                })
+                .collect();
+            match order {
+                0 => sample.sort_by_key(|&(o, _, _)| o),
+                1 => sample.sort_by_key(|&(o, _, _)| std::cmp::Reverse(o)),
+                _ => {}
+            }
+            prop_assert_eq!(expand(&strided_runs(&sample)), sample);
+        }
+    }
+
+    #[test]
+    fn reversed_sample_plans_like_sorted() {
+        // A descending pair must not form a run: its stride would wrap
+        // mod 2⁶⁴, and a wrapped stride's residue mod G is wrong unless
+        // G is a power of two.
+        let m = model();
+        let sorted = recs(12, 200 * KB, OpKind::Read);
+        let reversed: Vec<TraceRecord> = sorted.iter().rev().copied().collect();
+        let plan = |records: &[TraceRecord]| {
+            optimize_region(
+                &SimContext::new(),
+                &m,
+                &RegionRequests::new(records, 0),
+                200 * KB,
+                &OptimizerConfig {
+                    threads: 1,
+                    ..OptimizerConfig::default()
+                },
+                0,
+            )
+        };
+        let (a, b) = (plan(&sorted), plan(&reversed));
+        assert_eq!(a.widths, vec![0, 100 * KB]);
+        assert_eq!(b.widths, a.widths);
+        // One weighted run (12 × cost) against twelve single runs summed.
+        assert!((b.cost - a.cost).abs() <= 1e-12 * a.cost);
+    }
+
+    #[test]
+    fn candidates_counter_covers_every_class_count() {
+        let trace = recs(32, 512 * KB, OpKind::Read);
+        let reqs = RegionRequests::new(&trace, 0);
+        let cfg = OptimizerConfig {
+            threads: 1,
+            ..OptimizerConfig::default()
+        };
+        let labels = [("region", "0".to_string())];
+        let counted = |m: &MultiProfileModel| {
+            let recorder = std::sync::Arc::new(harl_simcore::MemoryRecorder::new());
+            let ctx = SimContext::recorded(recorder.clone());
+            let choice = optimize_region(&ctx, m, &reqs, 512 * KB, &cfg, 0);
+            assert_eq!(
+                choice,
+                optimize_region(&SimContext::new(), m, &reqs, 512 * KB, &cfg, 0)
+            );
+            recorder.counter_value(registry::HARL_OPTIMIZER_CANDIDATES.name, &labels)
+        };
+        // K = 2: the grid's size.
+        let pair = model();
+        let grid = candidates(512 * KB, cfg.effective_step(512 * KB), pair.m(), pair.n());
+        assert_eq!(counted(&pair), usize_to_u64(grid.len()));
+        // K = 3: every width vector the descent scored.
+        let cluster = ClusterConfig::hybrid(4, 2).with_extra_class(2, nvme_2020_preset());
+        let three = MultiProfileModel::from_cluster(&cluster);
+        let opt = MultiProfileOptimizer::new(three.clone());
+        let (_, _, scored) =
+            opt.optimize_counted(&reqs.sample(cfg.max_requests_per_eval), 512 * KB);
+        assert!(scored > 0);
+        assert_eq!(counted(&three), scored);
     }
 
     #[test]

@@ -180,9 +180,10 @@ metrics! {
         "trace records collected before planning");
 
     // --- harl.* — planner and online monitor -----------------------------
-    /// Algorithm 2 grid candidates searched, labelled by `region`.
+    /// Layout candidates scored by Algorithm 2, labelled by `region`: grid
+    /// pairs at `K = 2`, descent width vectors at `K ≥ 3`.
     HARL_OPTIMIZER_CANDIDATES = ("harl.optimizer.candidates", Counter, Count,
-        "stripe-pair candidates evaluated by Algorithm 2");
+        "stripe-width candidates scored by Algorithm 2 (grid pairs or descent vectors)");
     /// Winning HServer stripe, labelled by `region`.
     HARL_OPTIMIZER_STRIPE_H = ("harl.optimizer.stripe_h", Gauge, Bytes,
         "HServer stripe size chosen by Algorithm 2");
