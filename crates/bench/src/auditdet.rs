@@ -139,6 +139,12 @@ const CASES: &[Case] = &[
         scenario: "scenarios/multiapp.json",
         golden: "scenarios/multiapp.golden.json",
     },
+    Case {
+        name: "btio",
+        kind: CaseKind::Run,
+        scenario: "scenarios/btio.json",
+        golden: "scenarios/btio.golden.json",
+    },
 ];
 
 /// The alternate seed every case is re-audited under (the default seed is
@@ -299,10 +305,11 @@ fn audit_row(
 /// Run the determinism audit from `root` (the repo checkout holding
 /// `scenarios/`).
 ///
-/// The full tier replays all three pinned scenarios at thread budgets
+/// The full tier replays every pinned scenario at thread budgets
 /// {1, 2, 8} under the scenario's own seed and [`ALT_SEED`]; the fast
-/// tier (`--fast`, the ci.sh stage) trims to the smoke and multiapp
-/// scenarios at budgets {1, 8} under the default seed only.
+/// tier (`--fast`, the ci.sh stage) drops three_tier and runs the smoke,
+/// multiapp and btio scenarios at budgets {1, 8} under the default seed
+/// only.
 pub fn run_audit(root: &Path, fast: bool) -> AuditReport {
     let threads: &[usize] = if fast { &[1, 8] } else { &[1, 2, 8] };
     let seeds: &[Option<u64>] = if fast {
