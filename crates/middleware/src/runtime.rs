@@ -17,7 +17,7 @@
 //! control are orthogonal to the pipeline itself.
 
 use crate::collective::{plan_collective, CollectiveConfig};
-use crate::logical::{LogicalRequest, LogicalStep, Workload};
+use crate::logical::{LogicalRequest, LogicalStep, RankProgram, Workload};
 use crate::placement::{place, PlacedFile};
 use harl_core::{LayoutPolicy, RegionStripeTable, Trace, TraceRecord};
 use harl_pfs::{simulate, ClientProgram, ClusterConfig, PhysRequest, SimReport};
@@ -38,10 +38,12 @@ enum Lowering<'a> {
 
 /// Tracing Phase: record the logical requests a workload will issue.
 ///
-/// Timestamps are synthetic issue-order counters — region division uses
-/// only offsets, sizes and operation types. Collective contributions are
-/// recorded verbatim (identity lowering); use [`collect_trace_lowered`]
-/// for the post-aggregation view.
+/// Timestamps are synthetic record-order counters, not issue order: every
+/// rank's independent requests are recorded first and the collective
+/// contributions after them. Region division uses only offsets, sizes and
+/// operation types. Collective contributions are recorded verbatim
+/// (identity lowering); use [`collect_trace_lowered`] for the
+/// post-aggregation view.
 pub fn collect_trace(workload: &Workload) -> Trace {
     collect_trace_with(workload, Lowering::Identity)
 }
@@ -53,6 +55,7 @@ pub fn collect_trace(workload: &Workload) -> Trace {
 /// library): what it observes for a collective application like BTIO are
 /// the *aggregators'* large contiguous requests, not each rank's tiny
 /// strided contributions — and that is the pattern the layout must serve.
+/// Timestamps are record-order counters, as in [`collect_trace`].
 pub fn collect_trace_lowered(
     cluster: &ClusterConfig,
     workload: &Workload,
@@ -64,13 +67,10 @@ pub fn collect_trace_lowered(
 /// Single implementation behind both trace collectors: independents pass
 /// through unchanged, collectives go through the chosen [`Lowering`].
 fn collect_trace_with(workload: &Workload, lowering: Lowering<'_>) -> Trace {
-    if matches!(lowering, Lowering::TwoPhase { .. }) {
-        let collectives = workload.validate_collectives();
-        assert!(
-            collectives.is_ok(),
-            "collective call counts must match across ranks: {collectives:?}"
-        );
-    }
+    let calls = match lowering {
+        Lowering::Identity => Vec::new(),
+        Lowering::TwoPhase { .. } => gather_collectives(workload),
+    };
     let mut trace = Trace::new();
     let mut clock = 0u64;
     let record = |trace: &mut Trace, clock: &mut u64, rank: usize, r: &LogicalRequest| {
@@ -109,23 +109,8 @@ fn collect_trace_with(workload: &Workload, lowering: Lowering<'_>) -> Trace {
         }
         Lowering::TwoPhase { cluster, ccfg } => {
             let aggregators = default_aggregators(cluster, workload.rank_count());
-            let max_collectives = workload.ranks.first().map_or(0, |r| r.collective_calls());
-            for k in 0..max_collectives {
-                let contributions: Vec<Vec<LogicalRequest>> = workload
-                    .ranks
-                    .iter()
-                    .map(|prog| {
-                        prog.steps
-                            .iter()
-                            .filter_map(|s| match s {
-                                LogicalStep::Collective(r) => Some(r.clone()),
-                                _ => None,
-                            })
-                            .nth(k)
-                            .unwrap_or_default()
-                    })
-                    .collect();
-                if let Some(plan) = plan_collective(&contributions, &aggregators, ccfg) {
+            for contributions in &calls {
+                if let Some(plan) = plan_collective(contributions, &aggregators, ccfg) {
                     for (rank, reqs) in plan.aggregated.iter().enumerate() {
                         for r in reqs {
                             record(&mut trace, &mut clock, rank, r);
@@ -136,6 +121,41 @@ fn collect_trace_with(workload: &Workload, lowering: Lowering<'_>) -> Trace {
         }
     }
     trace
+}
+
+/// Every collective call's contributions, borrowed: `calls[k][r]` is rank
+/// r's contribution to its k-th collective call. Walks each rank's steps
+/// once, and allocates nothing for a workload without collective calls.
+///
+/// # Panics
+/// Panics when ranks make different numbers of collective calls (a real
+/// MPI job would deadlock).
+fn gather_collectives(workload: &Workload) -> Vec<Vec<&[LogicalRequest]>> {
+    let collectives = workload.validate_collectives();
+    assert!(
+        collectives.is_ok(),
+        "collective call counts must match across ranks: {collectives:?}"
+    );
+    let n_calls = workload
+        .ranks
+        .first()
+        .map_or(0, RankProgram::collective_calls);
+    if n_calls == 0 {
+        return Vec::new();
+    }
+    let mut calls: Vec<Vec<&[LogicalRequest]>> = (0..n_calls)
+        .map(|_| Vec::with_capacity(workload.rank_count()))
+        .collect();
+    for prog in &workload.ranks {
+        let contributions = prog.steps.iter().filter_map(|s| match s {
+            LogicalStep::Collective(reqs) => Some(reqs.as_slice()),
+            _ => None,
+        });
+        for (call, reqs) in calls.iter_mut().zip(contributions) {
+            call.push(reqs);
+        }
+    }
+    calls
 }
 
 /// Translate one logical request into physical per-region requests, with
@@ -215,35 +235,14 @@ pub fn translate_workload(
     ccfg: &CollectiveConfig,
 ) -> Vec<ClientProgram> {
     let recorder = ctx.recorder();
-    let collectives = workload.validate_collectives();
-    assert!(
-        collectives.is_ok(),
-        "collective call counts must match across ranks: {collectives:?}"
-    );
+    let calls = gather_collectives(workload);
     let n_ranks = workload.rank_count();
     let aggregators = default_aggregators(cluster, n_ranks);
     let mut programs: Vec<ClientProgram> = vec![ClientProgram::new(); n_ranks];
-
-    // Collect the k-th collective call of every rank.
-    let max_collectives = workload.ranks.first().map_or(0, |r| r.collective_calls());
-    let mut collective_plans = Vec::with_capacity(max_collectives);
-    for k in 0..max_collectives {
-        let contributions: Vec<Vec<LogicalRequest>> = workload
-            .ranks
-            .iter()
-            .map(|prog| {
-                prog.steps
-                    .iter()
-                    .filter_map(|s| match s {
-                        LogicalStep::Collective(r) => Some(r.clone()),
-                        _ => None,
-                    })
-                    .nth(k)
-                    .unwrap_or_default()
-            })
-            .collect();
-        collective_plans.push(plan_collective(&contributions, &aggregators, ccfg));
-    }
+    let collective_plans: Vec<_> = calls
+        .iter()
+        .map(|contributions| plan_collective(contributions, &aggregators, ccfg))
+        .collect();
 
     for (rank, prog) in workload.ranks.iter().enumerate() {
         let out = &mut programs[rank];

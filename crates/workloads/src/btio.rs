@@ -119,25 +119,34 @@ impl BtioConfig {
         reqs
     }
 
+    /// Check the preconditions of [`BtioConfig::build`]: `processes` is a
+    /// positive perfect square and the step/interval combination produces
+    /// at least one dump.
+    pub fn check(&self) -> Result<(), String> {
+        let side = (self.processes as f64).sqrt() as usize;
+        if side == 0 || side * side != self.processes {
+            return Err(format!(
+                "BTIO requires a square number of processes, got {}",
+                self.processes
+            ));
+        }
+        if self.write_interval == 0 || self.dump_count() == 0 {
+            return Err(format!(
+                "no dumps: steps {} interval {}",
+                self.steps, self.write_interval
+            ));
+        }
+        Ok(())
+    }
+
     /// Generate the workload: the interleaved compute/collective-write time
     /// loop, then the collective verification read.
     ///
     /// # Panics
-    /// Panics unless `processes` is a positive perfect square and the
-    /// step/interval combination produces at least one dump.
+    /// Panics when [`BtioConfig::check`] fails.
     pub fn build(&self) -> Workload {
-        let side = (self.processes as f64).sqrt() as usize;
-        assert!(
-            side > 0 && side * side == self.processes,
-            "BTIO requires a square number of processes, got {}",
-            self.processes
-        );
-        assert!(
-            self.write_interval > 0 && self.dump_count() > 0,
-            "no dumps: steps {} interval {}",
-            self.steps,
-            self.write_interval
-        );
+        let checked = self.check();
+        assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
 
         let mut workload = Workload::with_ranks(self.processes);
         for step in 1..=self.steps {

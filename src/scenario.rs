@@ -353,6 +353,7 @@ impl Scenario {
                 if c.processes == 0 || c.grid == 0 || c.steps == 0 {
                     return Err("Btio needs non-zero processes, grid and steps".into());
                 }
+                c.check()?;
             }
             WorkloadSpec::Phased(c) => {
                 if c.processes == 0 {
@@ -395,6 +396,9 @@ impl Scenario {
         }
         if self.threads == Some(0) {
             return Err("threads must be >= 1 when set".into());
+        }
+        if self.collective.is_some_and(|c| c.cb_buffer == 0) {
+            return Err("collective cb_buffer must be > 0 bytes".into());
         }
         Ok(())
     }

@@ -139,6 +139,34 @@ fn validation_rejects_impossible_scenarios() {
             Scenario::new(WorkloadSpec::ReplayTrace(String::new())),
             "trace file path",
         ),
+        (
+            Scenario::new(WorkloadSpec::Btio(BtioConfig::tiny(6))),
+            "square number of processes, got 6",
+        ),
+        (
+            Scenario::new(WorkloadSpec::Btio(BtioConfig {
+                steps: 1,
+                ..BtioConfig::tiny(4)
+            })),
+            "no dumps: steps 1 interval 2",
+        ),
+        (
+            Scenario::new(WorkloadSpec::Btio(BtioConfig {
+                write_interval: 0,
+                ..BtioConfig::tiny(4)
+            })),
+            "no dumps",
+        ),
+        (
+            Scenario {
+                collective: Some(CollectiveConfig {
+                    cb_buffer: 0,
+                    ..CollectiveConfig::default()
+                }),
+                ..Scenario::new(WorkloadSpec::Btio(BtioConfig::tiny(4)))
+            },
+            "cb_buffer",
+        ),
     ];
     for (scenario, needle) in cases {
         let err = scenario.validate().expect_err("must be rejected");
