@@ -144,10 +144,10 @@ PY
 rm -rf "$out"
 
 echo "== determinism audit (fast tier) =="
-# Re-runs the smoke, multiapp and btio scenarios at 1 and 8 planner threads,
-# hashes every artifact (report JSON + wall-clock-stripped metrics JSONL)
-# and fails on any byte difference across thread budgets or against the
-# committed goldens. The full tier (all four scenarios, threads 1/2/8,
+# Re-runs the smoke, multiapp, btio and wide scenarios at 1 and 8 planner
+# threads, hashes every artifact (report JSON + wall-clock-stripped metrics
+# JSONL) and fails on any byte difference across thread budgets or against
+# the committed goldens. The full tier (all five scenarios, threads 1/2/8,
 # two seeds) is `harl-cli audit-determinism` without --fast.
 cargo run --release -q -p harl-bench --bin harl-cli -- \
     audit-determinism --fast

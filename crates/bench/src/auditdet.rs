@@ -145,6 +145,14 @@ const CASES: &[Case] = &[
         scenario: "scenarios/btio.json",
         golden: "scenarios/btio.golden.json",
     },
+    // 256 servers and a 16 KiB stripe: every 4 MiB read fans out to all
+    // of them, the only golden whose fan-outs are that wide.
+    Case {
+        name: "wide",
+        kind: CaseKind::Run,
+        scenario: "scenarios/wide.json",
+        golden: "scenarios/wide.golden.json",
+    },
 ];
 
 /// The alternate seed every case is re-audited under (the default seed is
@@ -308,8 +316,8 @@ fn audit_row(
 /// The full tier replays every pinned scenario at thread budgets
 /// {1, 2, 8} under the scenario's own seed and [`ALT_SEED`]; the fast
 /// tier (`--fast`, the ci.sh stage) drops three_tier and runs the smoke,
-/// multiapp and btio scenarios at budgets {1, 8} under the default seed
-/// only.
+/// multiapp, btio and wide scenarios at budgets {1, 8} under the default
+/// seed only.
 pub fn run_audit(root: &Path, fast: bool) -> AuditReport {
     let threads: &[usize] = if fast { &[1, 8] } else { &[1, 2, 8] };
     let seeds: &[Option<u64>] = if fast {
