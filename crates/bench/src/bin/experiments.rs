@@ -6,8 +6,9 @@
 //!             <fig1a|fig1b|fig7|fig8|fig9|fig10|fig11|fig12|headline|all>
 //! ```
 //!
-//! `--threads` pins the simulator's deterministic shard pool; every figure
-//! is byte-identical at any setting, so it only changes wall-clock time.
+//! `--threads` sets the planner's thread budget (the simulator is
+//! single-threaded); every figure is byte-identical at any setting, so it
+//! only changes wall-clock time.
 //!
 //! `--paper` runs at the paper's full sizes (16 GiB IOR files, ≈1.7 GB
 //! BTIO); the default quick scale is shape-identical. Tables print to

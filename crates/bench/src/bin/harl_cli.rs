@@ -50,7 +50,7 @@ use harl_core::{
 };
 use harl_devices::{CalibrationConfig, OpKind};
 use harl_middleware::{run_workload, CollectiveConfig};
-use harl_pfs::ClusterConfig;
+use harl_pfs::{ClusterConfig, FileLayout};
 use harl_repro::scenario::{Scenario, ServeSpec};
 use harl_simcore::metrics::{MemoryRecorder, Recorder};
 use harl_simcore::{registry, ByteSize, SimContext, SimNanos};
@@ -214,6 +214,16 @@ fn load_rst(path: &str) -> RegionStripeTable {
     })
 }
 
+/// The `--hservers`/`--sservers` cluster; one with no servers at all is a
+/// usage error.
+fn cli_cluster(opts: &Opts) -> ClusterConfig {
+    if opts.hservers == 0 && opts.sservers == 0 {
+        eprintln!("--hservers and --sservers cannot both be 0");
+        usage();
+    }
+    ClusterConfig::hybrid(opts.hservers, opts.sservers)
+}
+
 fn cmd_trace_info(opts: &Opts) {
     let [path] = opts.positional.as_slice() else {
         usage()
@@ -254,7 +264,7 @@ fn cmd_plan(opts: &Opts) {
     };
     let trace = load_trace(path);
     let file_size = opts.file_size.unwrap_or_else(|| trace.extent().max(1));
-    let cluster = ClusterConfig::hybrid(opts.hservers, opts.sservers);
+    let cluster = cli_cluster(opts);
     let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let mut policy = HarlPolicy::new(model);
     if let Some(rs) = opts.region_size {
@@ -352,7 +362,13 @@ fn cmd_simulate(opts: &Opts) {
     };
     let trace = load_trace(trace_path);
     let rst = load_rst(rst_path);
-    let cluster = ClusterConfig::hybrid(opts.hservers, opts.sservers);
+    let cluster = cli_cluster(opts);
+    for (i, entry) in rst.entries().iter().enumerate() {
+        if let Err(reason) = FileLayout::try_for_classes(&cluster, entry.widths()) {
+            eprintln!("RST {rst_path} row {i} does not fit the cluster: {reason}");
+            std::process::exit(1);
+        }
+    }
     let workload = replay(&trace);
     let recording = opts.metrics_out.is_some() || opts.trace_out.is_some();
     let memory = Arc::new(MemoryRecorder::new());

@@ -15,10 +15,11 @@ use std::sync::{Arc, OnceLock};
 static GLOBAL_RECORDER: OnceLock<Arc<MemoryRecorder>> = OnceLock::new();
 static GLOBAL_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Pin the simulation thread count for every subsequent [`measure`] call
+/// Pin the planner thread budget for every subsequent [`measure`] call
 /// (the experiments binary's `--threads` flag). Results are byte-identical
-/// at any setting — the engine shards deterministically — so this is a
-/// wall-clock knob, never a results knob. Idempotent like the recorder.
+/// at any setting — the planner merges its workers' results in a fixed
+/// order and the simulator is single-threaded — so this is a wall-clock
+/// knob, never a results knob. Idempotent like the recorder.
 pub fn set_threads(threads: usize) {
     let _ = GLOBAL_THREADS.set(threads.max(1));
 }

@@ -1,0 +1,83 @@
+//! `harl-cli` answers bad input a user supplies with a message and an
+//! exit code, never a panic: exit 2 for bad flags, exit 1 for a bad file.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// One 512 KiB read: enough trace for `plan` and `simulate` to start.
+const TRACE: &str =
+    "{\"rank\":0,\"fd\":0,\"op\":\"Read\",\"offset\":0,\"size\":524288,\"timestamp\":0}\n";
+
+/// A directory holding `trace.jsonl` and `rst.json` (with `rst` as its
+/// contents), private to one test: tests run in parallel.
+fn inputs(test: &str, rst: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("harl-cli-errors-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the input directory");
+    std::fs::write(dir.join("trace.jsonl"), TRACE).expect("write the trace");
+    std::fs::write(dir.join("rst.json"), rst).expect("write the RST");
+    dir
+}
+
+/// Run `harl-cli` with `args`, check it exits with `code` and a message
+/// but without a panic, and return its stderr.
+fn expect_exit(args: &[&str], code: i32) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_harl-cli"))
+        .args(args)
+        .output()
+        .expect("harl-cli starts");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(!stderr.trim().is_empty(), "{args:?}: no message");
+    stderr
+}
+
+fn simulate(dir: &Path, flags: &[&str], code: i32) -> String {
+    let trace = dir.join("trace.jsonl");
+    let rst = dir.join("rst.json");
+    let mut args = vec!["simulate", trace.to_str().unwrap(), rst.to_str().unwrap()];
+    args.extend_from_slice(flags);
+    expect_exit(&args, code)
+}
+
+#[test]
+fn rst_row_with_three_widths_on_two_classes_exits_1() {
+    let dir = inputs(
+        "three-widths",
+        r#"{"entries": [{"offset": 0, "len": 1048576, "widths": [65536, 65536, 65536]}]}"#,
+    );
+    let stderr = simulate(&dir, &[], 1);
+    assert!(stderr.contains("row 0"), "{stderr}");
+    assert!(
+        stderr.contains("one stripe width per server class"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rst_row_with_widths_only_on_an_empty_class_exits_1() {
+    let dir = inputs(
+        "empty-class",
+        r#"{"entries": [{"offset": 0, "len": 1048576, "h": 0, "s": 65536}]}"#,
+    );
+    let stderr = simulate(&dir, &["--sservers", "0"], 1);
+    assert!(stderr.contains("row 0"), "{stderr}");
+    assert!(stderr.contains("no capacity"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cluster_without_servers_is_a_usage_error() {
+    let dir = inputs(
+        "no-servers",
+        r#"{"entries": [{"offset": 0, "len": 1048576, "h": 65536, "s": 65536}]}"#,
+    );
+    let none = ["--hservers", "0", "--sservers", "0"];
+    simulate(&dir, &none, 2);
+    let trace = dir.join("trace.jsonl");
+    let mut plan = vec!["plan", trace.to_str().unwrap(), "--file-size", "1M"];
+    plan.extend_from_slice(&none);
+    expect_exit(&plan, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -380,15 +380,15 @@ mod tests {
             "crates/simcore/src/profiler.rs",
             DETERMINISM_SCOPES
         ));
-        // The cluster-scale engine modules (calendar queue, sharded
-        // fan-out pool) are load-bearing for bit-determinism and must
-        // never fall out of scope.
+        // The cluster-scale engine modules (calendar queue, per-server
+        // disks) are load-bearing for bit-determinism and must never
+        // fall out of scope.
         assert!(in_scope(
             "crates/simcore/src/calendar.rs",
             DETERMINISM_SCOPES
         ));
-        assert!(in_scope("crates/pfs/src/shard.rs", DETERMINISM_SCOPES));
-        assert!(in_scope("crates/pfs/src/shard.rs", PANIC_SCOPES));
+        assert!(in_scope("crates/pfs/src/disk.rs", DETERMINISM_SCOPES));
+        assert!(in_scope("crates/pfs/src/disk.rs", PANIC_SCOPES));
         assert!(!in_scope(
             "crates/bench/src/planning.rs",
             DETERMINISM_SCOPES

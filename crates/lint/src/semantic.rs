@@ -430,10 +430,10 @@ fn has_indexed_store(toks: &[Tok], lo: usize, hi: usize) -> bool {
 /// **unordered-parallel-merge** (HL010) — a loop that drains an mpsc
 /// channel must not append the received results to a collection: arrival
 /// order depends on thread scheduling. Canonical-order merges are quiet —
-/// either an indexed store (`grants[i] = g`, the `pfs/shard.rs` consumer
-/// shape) or a sort immediately after the loop. The same applies to
-/// scoped-thread workers appending to a shared locked collection. Audited
-/// sites (e.g. the shard worker's per-job keyed buffer) carry
+/// either an indexed store (`grants[i] = g`, which puts each result in
+/// its own slot like the `harl/optimizer.rs` grid workers do) or a sort
+/// immediately after the loop. The same applies to scoped-thread workers
+/// appending to a shared locked collection. An audited site carries
 /// `// lint: audited-order` plus an allowlist entry.
 pub fn unordered_parallel_merge(
     path: &str,

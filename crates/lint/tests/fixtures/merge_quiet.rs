@@ -1,9 +1,9 @@
 // HL010 counter-examples: canonical-order merges. The indexed-store
-// consumer (the pfs/shard.rs shape), a sort immediately after the drain
-// loop (the middleware/serve.rs shape), a spawned worker with a private
-// buffer and no lock, and a recv loop whose only appends live in a
-// *different* (earlier) loop — innermost-loop attribution must not blame
-// them.
+// consumer (one slot per result, as in the harl/optimizer.rs grid), a
+// sort immediately after the drain loop (the middleware/serve.rs shape),
+// a spawned worker with a private buffer and no lock, and a recv loop
+// whose only appends live in a *different* (earlier) loop — innermost-loop
+// attribution must not blame them.
 use std::sync::mpsc::Receiver;
 
 pub fn consume(rx: &Receiver<(usize, u64)>, n: usize) -> Vec<u64> {

@@ -77,22 +77,35 @@ impl FileLayout {
     /// "0 to M+N-1 round-robin"; `widths = [h, s]` reproduces the
     /// two-class Fig. 2(b) layout exactly).
     ///
-    /// Any width may be zero (that class then holds no data); all zero
-    /// panics.
+    /// Any width may be zero (that class then holds no data).
     ///
     /// # Panics
-    /// Panics unless `widths` has exactly one entry per cluster class.
+    /// Panics unless `widths` has exactly one entry per cluster class, or
+    /// if no server gets a non-zero width. Widths arriving from outside
+    /// the process should go through [`Self::try_for_classes`].
     pub fn for_classes(cluster: &ClusterConfig, widths: &[u64]) -> Self {
-        assert_eq!(
-            widths.len(),
-            cluster.classes.len(),
-            "one stripe width per server class"
-        );
+        #[allow(clippy::panic)]
+        match Self::try_for_classes(cluster, widths) {
+            Ok(l) => l,
+            Err(reason) => panic!("{reason}"),
+        }
+    }
+
+    /// [`Self::for_classes`] with a descriptive error instead of a panic —
+    /// the check for RST rows loaded from disk against a cluster.
+    pub fn try_for_classes(cluster: &ClusterConfig, widths: &[u64]) -> Result<Self, String> {
+        if widths.len() != cluster.classes.len() {
+            return Err(format!(
+                "{} stripe width(s) for {} server class(es); need one stripe width per server class",
+                widths.len(),
+                cluster.classes.len()
+            ));
+        }
         let mut pairs = Vec::with_capacity(cluster.server_count());
         for (k, &w) in widths.iter().enumerate() {
             pairs.extend(cluster.class_servers(k).map(|id| (id, w)));
         }
-        FileLayout::custom(pairs)
+        FileLayout::try_custom(pairs)
     }
 
     /// The servers holding data, in group order.
@@ -212,6 +225,24 @@ mod tests {
         assert_eq!(l.width_of(2), 64 * 1024);
         assert_eq!(l.width_of(4), 1024 * 1024);
         assert_eq!(l.group_size(), 2 * 16 * 1024 + 2 * 64 * 1024 + 1024 * 1024);
+    }
+
+    #[test]
+    fn try_for_classes_reports_errors() {
+        let c = ClusterConfig::paper_default();
+        let err = FileLayout::try_for_classes(&c, &[1, 2, 3]).unwrap_err();
+        assert!(
+            err.contains("one stripe width per server class"),
+            "got: {err}"
+        );
+        // The only non-zero width is on a class with no servers.
+        let no_sservers = ClusterConfig::hybrid(4, 0);
+        let err = FileLayout::try_for_classes(&no_sservers, &[0, 64 * 1024]).unwrap_err();
+        assert!(err.contains("no capacity"), "got: {err}");
+        assert_eq!(
+            FileLayout::try_for_classes(&c, &[32 * 1024, 160 * 1024]),
+            Ok(FileLayout::for_classes(&c, &[32 * 1024, 160 * 1024]))
+        );
     }
 
     #[test]

@@ -39,12 +39,12 @@
 
 pub mod cluster;
 pub mod compat;
+pub(crate) mod disk;
 pub mod faults;
 pub mod geometry;
 pub mod layout;
 pub mod report;
 pub mod request;
-pub(crate) mod shard;
 pub mod sim;
 
 pub use cluster::{ClusterConfig, ServerClass, ServerId};

@@ -21,16 +21,13 @@
 //! authors' real cluster.
 
 use crate::cluster::ClusterConfig;
+use crate::disk::{disk_acquire, DiskEnv, ServerDisk};
 use crate::layout::FileLayout;
 use crate::report::{ServerReport, SimReport};
 use crate::request::{ClientProgram, FileId, Step};
-use crate::shard::{self, FanoutEnv, ServerDisk, ShardPool};
 use harl_devices::OpKind;
 use harl_simcore::metrics::{SpanHop, SpanRecord};
-use harl_simcore::timeline::Grant;
 use harl_simcore::{registry, Engine, OnlineStats, Phase, SimContext, SimNanos, Timeline};
-use std::sync::Arc;
-use std::sync::Mutex;
 
 /// Everything a payload event needs to move one sub-request through the
 /// pipeline without touching the request table: the owning request, the
@@ -52,13 +49,14 @@ struct SubRef {
 enum Ev {
     /// Client begins its next program step.
     StartStep { client: u32 },
-    /// MDS lookup finished; request fans out into sub-requests.
+    /// MDS lookup finished: a write splits into per-server sub-requests,
+    /// a read sends its request messages (see [`Ev::DiskFanout`]).
     MdsDone { req: u32 },
-    /// Read request messages reached every server: serve the whole batch
-    /// of disk arrivals in one pass. All sub-requests of a read arrive at
-    /// the same instant (`mds grant + latency`), so one batched event is
-    /// observationally identical to the per-sub events it replaces — and
-    /// it is the unit of sharded parallelism (see [`crate::shard`]).
+    /// Read request messages reached every server: split the read and
+    /// serve its disk arrivals in one pass, in sub order. All sub-requests
+    /// of a read arrive at the same instant (`mds grant + latency`), so
+    /// one batched event is observationally identical to the per-sub
+    /// events it replaces.
     DiskFanout { req: u32 },
     /// Write payload for one sub-request reached the server's NIC queue.
     ArriveServerNic(SubRef),
@@ -113,9 +111,6 @@ struct ReqState {
     size: u64,
     file: FileId,
     offset: u64,
-    /// Shared so a fanout batch can be shipped to shard workers without
-    /// borrowing the request table.
-    subs: Arc<[(usize, u64)]>,
     pending: usize,
     issued: SimNanos,
     /// Lifecycle hops, collected only when a recorder is enabled.
@@ -157,7 +152,7 @@ struct ClientState {
 ///   state but never change it, so makespans and reports are identical
 ///   with sampling on or off, and the sampled values are a pure function
 ///   of the scenario and seed — same seed + interval ⇒ byte-identical
-///   series at any thread count.
+///   series.
 /// * **Profiling** — with `ctx.profiler()` attached, the run is driven by
 ///   [`Engine::run_profiled`] and each handler bills its wall time to a
 ///   [`Phase`] bucket (recorder work is carved out into its own bucket by
@@ -184,30 +179,15 @@ pub fn simulate(
         .copied()
         .collect();
     let n_servers = cluster.server_count();
-    // Disk-side server state is sharded into contiguous groups so read
-    // fanouts can run per group — on scoped workers when `ctx.threads`
-    // asks for them, inline otherwise. With one thread there is exactly
-    // one group and the Mutex is uncontended ceremony.
-    let threads = ctx.threads_or(1);
-    let group_size = n_servers.div_ceil(threads.min(n_servers)).max(1);
-    let n_groups = n_servers.div_ceil(group_size);
-    let disk_groups: Vec<Mutex<Vec<ServerDisk>>> = (0..n_groups)
-        .map(|g| {
-            let lo = g * group_size;
-            let hi = ((g + 1) * group_size).min(n_servers);
-            Mutex::new((lo..hi).map(|id| ServerDisk::new(id, seed)).collect())
-        })
-        .collect();
+    let mut disks: Vec<ServerDisk> = (0..n_servers).map(|id| ServerDisk::new(id, seed)).collect();
     let mut server_nics: Vec<Timeline> = (0..n_servers).map(|_| Timeline::new()).collect();
     let mut client_nics: Vec<Timeline> = (0..cluster.compute_nodes)
         .map(|_| Timeline::new())
         .collect();
     let mut mds = Timeline::new();
-    let env = FanoutEnv {
-        disks: &disk_groups,
+    let env = DiskEnv {
         cluster,
         degradations: &degradations,
-        group_size,
         rec_on,
     };
 
@@ -264,212 +244,146 @@ pub fn simulate(
         engine.schedule(dt, Ev::Sample);
     }
 
-    // Hot-path scratch shared across events: the fanout grant buffer, the
-    // one-entry NIC service memo, and the empty-subs sentinel.
-    let mut fan_grants: Vec<Grant> = Vec::new();
     let mut nic_memo: (u64, SimNanos) = (u64::MAX, SimNanos::ZERO);
-    let empty_subs: Arc<[(usize, u64)]> = Vec::new().into();
 
-    // The engine run is wrapped in a closure so the sharded variant can
-    // drive the exact same handler inside a `std::thread::scope` with a
-    // worker pool attached. The handler never branches on thread count
-    // except to pick who *executes* a fanout group — see `crate::shard`
-    // for why the results are bit-identical either way.
-    let mut run_engine = |engine: &mut Engine<Ev>, pool: &mut Option<ShardPool>| {
-        let handler = |sched: &mut harl_simcore::Scheduler<Ev>, now: SimNanos, ev: Ev| {
-            let _phase = prof.map(|p| p.scope(phase_of(&ev)));
-            match ev {
-                Ev::StartStep { client } => {
-                    let ci = client as usize;
-                    let state = &mut clients[ci];
-                    match programs[ci].steps.get(state.next_step) {
-                        None => {
-                            state.finished_at = now;
+    let handler = |sched: &mut harl_simcore::Scheduler<Ev>, now: SimNanos, ev: Ev| {
+        let _phase = prof.map(|p| p.scope(phase_of(&ev)));
+        match ev {
+            Ev::StartStep { client } => {
+                let ci = client as usize;
+                let state = &mut clients[ci];
+                match programs[ci].steps.get(state.next_step) {
+                    None => {
+                        state.finished_at = now;
+                    }
+                    Some(Step::Compute(d)) => {
+                        state.next_step += 1;
+                        sched.schedule(now + *d, Ev::ComputeDone { client });
+                    }
+                    Some(Step::Barrier) => {
+                        state.next_step += 1;
+                        let gen = client_barrier_gen[ci];
+                        client_barrier_gen[ci] += 1;
+                        if barrier_waiting.len() <= gen {
+                            barrier_waiting.resize_with(gen + 1, Vec::new);
                         }
-                        Some(Step::Compute(d)) => {
-                            state.next_step += 1;
-                            sched.schedule(now + *d, Ev::ComputeDone { client });
-                        }
-                        Some(Step::Barrier) => {
-                            state.next_step += 1;
-                            let gen = client_barrier_gen[ci];
-                            client_barrier_gen[ci] += 1;
-                            if barrier_waiting.len() <= gen {
-                                barrier_waiting.resize_with(gen + 1, Vec::new);
-                            }
-                            barrier_waiting[gen].push(ci);
-                            if barrier_waiting[gen].len() == total_clients {
-                                // Last arrival releases everyone.
-                                for c in barrier_waiting[gen].drain(..) {
-                                    sched.schedule(now, Ev::StartStep { client: c as u32 });
-                                }
-                            }
-                        }
-                        Some(Step::Io(batch)) => {
-                            state.next_step += 1;
-                            state.batch_pending = batch.len();
-                            for pr in batch {
-                                assert!(
-                                    pr.file < files.len(),
-                                    "request targets unknown file {}",
-                                    pr.file
-                                );
-                                let req = reqs.len() as u32;
-                                reqs.push(ReqState {
-                                    client: ci,
-                                    op: pr.op,
-                                    size: pr.size,
-                                    file: pr.file,
-                                    offset: pr.offset,
-                                    subs: empty_subs.clone(),
-                                    pending: 0,
-                                    issued: now,
-                                    hops: Vec::new(),
-                                });
-                                let grant = mds.acquire(now, cluster.mds_service);
-                                if rec_on {
-                                    let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                                    issued_by_op[op_index(pr.op)] += 1;
-                                    if rec_hops {
-                                        reqs[req as usize].hops.push(SpanHop {
-                                            stage: "mds",
-                                            server: None,
-                                            arrive: now.as_nanos(),
-                                            start: grant.start.as_nanos(),
-                                            end: grant.end.as_nanos(),
-                                        });
-                                    }
-                                }
-                                sched.schedule(grant.end, Ev::MdsDone { req });
+                        barrier_waiting[gen].push(ci);
+                        if barrier_waiting[gen].len() == total_clients {
+                            // Last arrival releases everyone.
+                            for c in barrier_waiting[gen].drain(..) {
+                                sched.schedule(now, Ev::StartStep { client: c as u32 });
                             }
                         }
                     }
-                }
-                Ev::ComputeDone { client } => {
-                    sched.schedule(now, Ev::StartStep { client });
-                }
-                Ev::MdsDone { req } => {
-                    let ri = req as usize;
-                    let (file, offset, size, op, client) = {
-                        let r = &reqs[ri];
-                        (r.file, r.offset, r.size, r.op, r.client)
-                    };
-                    let subs: Arc<[(usize, u64)]> = if size == 0 {
-                        empty_subs.clone()
-                    } else {
-                        files[file].split(offset, size).into()
-                    };
-                    if subs.is_empty() {
-                        // Zero-byte request: completes at the MDS.
-                        reqs[ri].pending = 0;
-                        sched.schedule(now, Ev::SubDone { req });
-                        return;
-                    }
-                    reqs[ri].pending = subs.len();
-                    let node = cluster.node_of(client) as u32;
-                    match op {
-                        OpKind::Write => {
-                            // Payload leaves through the client NIC, serialised
-                            // with the client's other outbound sub-requests.
-                            for &(server, z) in subs.iter() {
-                                let service =
-                                    nic_service(net.t_s_per_byte, &mut nic_memo, z) + latency;
-                                let grant = client_nics[node as usize].acquire(now, service);
+                    Some(Step::Io(batch)) => {
+                        state.next_step += 1;
+                        state.batch_pending = batch.len();
+                        for pr in batch {
+                            assert!(
+                                pr.file < files.len(),
+                                "request targets unknown file {}",
+                                pr.file
+                            );
+                            let req = reqs.len() as u32;
+                            reqs.push(ReqState {
+                                client: ci,
+                                op: pr.op,
+                                size: pr.size,
+                                file: pr.file,
+                                offset: pr.offset,
+                                pending: 0,
+                                issued: now,
+                                hops: Vec::new(),
+                            });
+                            let grant = mds.acquire(now, cluster.mds_service);
+                            if rec_on {
+                                let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                                issued_by_op[op_index(pr.op)] += 1;
                                 if rec_hops {
-                                    reqs[ri].hops.push(SpanHop {
-                                        stage: "client_nic",
+                                    reqs[req as usize].hops.push(SpanHop {
+                                        stage: "mds",
                                         server: None,
                                         arrive: now.as_nanos(),
                                         start: grant.start.as_nanos(),
                                         end: grant.end.as_nanos(),
                                     });
                                 }
-                                sched.schedule(
-                                    grant.end,
-                                    Ev::ArriveServerNic(SubRef {
-                                        req,
-                                        server: server as u32,
-                                        node,
-                                        z,
-                                        op,
-                                    }),
-                                );
                             }
-                        }
-                        OpKind::Read => {
-                            // The read request messages are tiny (latency
-                            // only) and reach every server at the same
-                            // instant: one batched fanout event.
-                            sched.schedule(now + latency, Ev::DiskFanout { req });
+                            sched.schedule(grant.end, Ev::MdsDone { req });
                         }
                     }
-                    reqs[ri].subs = subs;
                 }
-                Ev::DiskFanout { req } => {
-                    let ri = req as usize;
-                    let (subs, op, node) = {
-                        let r = &reqs[ri];
-                        (r.subs.clone(), r.op, cluster.node_of(r.client) as u32)
-                    };
-                    // Serve every disk arrival of this request in one pass
-                    // (sharded across the pool when one is attached), then
-                    // apply the cross-server effects in sub order.
-                    shard::fanout_grants(pool.as_mut(), &env, now, op, &subs, &mut fan_grants);
-                    for (i, &(server, z)) in subs.iter().enumerate() {
-                        let grant = fan_grants[i];
-                        if sampling {
-                            inflight_subs[server] += 1;
-                            inflight_bytes[server] += z;
+            }
+            Ev::ComputeDone { client } => {
+                sched.schedule(now, Ev::StartStep { client });
+            }
+            Ev::MdsDone { req } => {
+                let ri = req as usize;
+                let (file, offset, size, op, client) = {
+                    let r = &reqs[ri];
+                    (r.file, r.offset, r.size, r.op, r.client)
+                };
+                if size == 0 {
+                    // Zero-byte request: completes at the MDS.
+                    sched.schedule(now, Ev::SubDone { req });
+                    return;
+                }
+                match op {
+                    OpKind::Write => {
+                        let subs = files[file].split(offset, size);
+                        reqs[ri].pending = subs.len();
+                        let node = cluster.node_of(client) as u32;
+                        // Payload leaves through the client NIC, serialised
+                        // with the client's other outbound sub-requests.
+                        for &(server, z) in &subs {
+                            let service = nic_service(net.t_s_per_byte, &mut nic_memo, z) + latency;
+                            let grant = client_nics[node as usize].acquire(now, service);
+                            if rec_hops {
+                                reqs[ri].hops.push(SpanHop {
+                                    stage: "client_nic",
+                                    server: None,
+                                    arrive: now.as_nanos(),
+                                    start: grant.start.as_nanos(),
+                                    end: grant.end.as_nanos(),
+                                });
+                            }
+                            sched.schedule(
+                                grant.end,
+                                Ev::ArriveServerNic(SubRef {
+                                    req,
+                                    server: server as u32,
+                                    node,
+                                    z,
+                                    op,
+                                }),
+                            );
                         }
-                        if rec_hops {
-                            reqs[ri].hops.push(SpanHop {
-                                stage: "disk",
-                                server: Some(server),
-                                arrive: now.as_nanos(),
-                                start: grant.start.as_nanos(),
-                                end: grant.end.as_nanos(),
-                            });
-                        }
-                        sched.schedule(
-                            grant.end,
-                            Ev::DiskDone(SubRef {
-                                req,
-                                server: server as u32,
-                                node,
-                                z,
-                                op,
-                            }),
-                        );
+                    }
+                    OpKind::Read => {
+                        // The read request messages are tiny (latency
+                        // only) and reach every server at the same
+                        // instant: one batched fanout event.
+                        sched.schedule(now + latency, Ev::DiskFanout { req });
                     }
                 }
-                Ev::ArriveServerNic(sr) => {
-                    let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
-                    let grant = server_nics[sr.server as usize].acquire(now, service);
-                    if rec_hops {
-                        reqs[sr.req as usize].hops.push(SpanHop {
-                            stage: "server_nic",
-                            server: Some(sr.server as usize),
-                            arrive: now.as_nanos(),
-                            start: grant.start.as_nanos(),
-                            end: grant.end.as_nanos(),
-                        });
-                    }
-                    sched.schedule(grant.end, Ev::ArriveDisk(sr));
-                }
-                Ev::ArriveDisk(sr) => {
-                    let server = sr.server as usize;
-                    let g = server / group_size;
-                    let grant = {
-                        let mut guard = shard::lock_group(&disk_groups[g]);
-                        let d = &mut guard[server - g * group_size];
-                        shard::disk_acquire(d, &env, server, now, sr.z, sr.op)
-                    };
+            }
+            Ev::DiskFanout { req } => {
+                let ri = req as usize;
+                let (file, offset, size, op, node) = {
+                    let r = &reqs[ri];
+                    let node = cluster.node_of(r.client) as u32;
+                    (r.file, r.offset, r.size, r.op, node)
+                };
+                let subs = files[file].split(offset, size);
+                reqs[ri].pending = subs.len();
+                for &(server, z) in &subs {
+                    let grant = disk_acquire(&mut disks[server], &env, server, now, z, op);
                     if sampling {
                         inflight_subs[server] += 1;
-                        inflight_bytes[server] += sr.z;
+                        inflight_bytes[server] += z;
                     }
                     if rec_hops {
-                        reqs[sr.req as usize].hops.push(SpanHop {
+                        reqs[ri].hops.push(SpanHop {
                             stage: "disk",
                             server: Some(server),
                             arrive: now.as_nanos(),
@@ -477,177 +391,200 @@ pub fn simulate(
                             end: grant.end.as_nanos(),
                         });
                     }
-                    sched.schedule(grant.end, Ev::DiskDone(sr));
+                    sched.schedule(
+                        grant.end,
+                        Ev::DiskDone(SubRef {
+                            req,
+                            server: server as u32,
+                            node,
+                            z,
+                            op,
+                        }),
+                    );
                 }
-                Ev::DiskDone(sr) => {
-                    let server = sr.server as usize;
-                    if sampling {
-                        inflight_subs[server] -= 1;
-                        inflight_bytes[server] -= sr.z;
-                    }
-                    match sr.op {
-                        OpKind::Write => {
-                            // Acknowledgement back to the client: latency only.
-                            sched.schedule(now + latency, Ev::SubDone { req: sr.req });
-                        }
-                        OpKind::Read => {
-                            let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
-                            let grant = server_nics[server].acquire(now, service);
-                            if rec_hops {
-                                reqs[sr.req as usize].hops.push(SpanHop {
-                                    stage: "server_nic",
-                                    server: Some(server),
-                                    arrive: now.as_nanos(),
-                                    start: grant.start.as_nanos(),
-                                    end: grant.end.as_nanos(),
-                                });
-                            }
-                            sched.schedule(grant.end + latency, Ev::ReturnAtClient(sr));
-                        }
-                    }
+            }
+            Ev::ArriveServerNic(sr) => {
+                let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
+                let grant = server_nics[sr.server as usize].acquire(now, service);
+                if rec_hops {
+                    reqs[sr.req as usize].hops.push(SpanHop {
+                        stage: "server_nic",
+                        server: Some(sr.server as usize),
+                        arrive: now.as_nanos(),
+                        start: grant.start.as_nanos(),
+                        end: grant.end.as_nanos(),
+                    });
                 }
-                Ev::ReturnAtClient(sr) => {
-                    let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
-                    let grant = client_nics[sr.node as usize].acquire(now, service);
-                    if rec_hops {
-                        reqs[sr.req as usize].hops.push(SpanHop {
-                            stage: "client_nic",
-                            server: None,
-                            arrive: now.as_nanos(),
-                            start: grant.start.as_nanos(),
-                            end: grant.end.as_nanos(),
-                        });
-                    }
-                    sched.schedule(grant.end, Ev::SubDone { req: sr.req });
+                sched.schedule(grant.end, Ev::ArriveDisk(sr));
+            }
+            Ev::ArriveDisk(sr) => {
+                let server = sr.server as usize;
+                let grant = disk_acquire(&mut disks[server], &env, server, now, sr.z, sr.op);
+                if sampling {
+                    inflight_subs[server] += 1;
+                    inflight_bytes[server] += sr.z;
                 }
-                Ev::SubDone { req } => {
-                    let ri = req as usize;
-                    let done = {
-                        let r = &mut reqs[ri];
-                        r.pending = r.pending.saturating_sub(1);
-                        r.pending == 0
-                    };
-                    if done {
-                        if rec_on {
-                            let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                            completed_by_op[op_index(reqs[ri].op)] += 1;
-                        }
-                        if rec_spans {
-                            let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                            let hops = std::mem::take(&mut reqs[ri].hops);
-                            let r = &reqs[ri];
-                            recorder.span(SpanRecord {
-                                id: req as u64,
-                                kind: "request",
-                                labels: vec![
-                                    ("client", r.client.to_string()),
-                                    ("op", r.op.to_string()),
-                                    ("file", r.file.to_string()),
-                                    ("size", r.size.to_string()),
-                                    ("offset", r.offset.to_string()),
-                                ],
-                                issued: r.issued.as_nanos(),
-                                completed: now.as_nanos(),
-                                hops,
+                if rec_hops {
+                    reqs[sr.req as usize].hops.push(SpanHop {
+                        stage: "disk",
+                        server: Some(server),
+                        arrive: now.as_nanos(),
+                        start: grant.start.as_nanos(),
+                        end: grant.end.as_nanos(),
+                    });
+                }
+                sched.schedule(grant.end, Ev::DiskDone(sr));
+            }
+            Ev::DiskDone(sr) => {
+                let server = sr.server as usize;
+                if sampling {
+                    inflight_subs[server] -= 1;
+                    inflight_bytes[server] -= sr.z;
+                }
+                match sr.op {
+                    OpKind::Write => {
+                        // Acknowledgement back to the client: latency only.
+                        sched.schedule(now + latency, Ev::SubDone { req: sr.req });
+                    }
+                    OpKind::Read => {
+                        let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
+                        let grant = server_nics[server].acquire(now, service);
+                        if rec_hops {
+                            reqs[sr.req as usize].hops.push(SpanHop {
+                                stage: "server_nic",
+                                server: Some(server),
+                                arrive: now.as_nanos(),
+                                start: grant.start.as_nanos(),
+                                end: grant.end.as_nanos(),
                             });
                         }
-                        let r = &reqs[ri];
-                        let lat = (now - r.issued).as_secs_f64();
-                        match r.op {
-                            OpKind::Read => {
-                                read_latency.push(lat);
-                                bytes_read += r.size;
-                            }
-                            OpKind::Write => {
-                                write_latency.push(lat);
-                                bytes_written += r.size;
-                            }
-                        }
-                        completed += 1;
-                        last_completion = last_completion.max(now);
-                        let client = r.client;
-                        let c = &mut clients[client];
-                        c.batch_pending -= 1;
-                        if c.batch_pending == 0 {
-                            sched.schedule(
-                                now,
-                                Ev::StartStep {
-                                    client: client as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-                Ev::Sample => {
-                    // Read-only: sampling must not perturb the simulation. The
-                    // tick re-arms itself only while real work remains queued, so
-                    // it never extends the run past the last completion.
-                    let window = now - last_sample;
-                    let mut id = 0usize;
-                    for m in disk_groups.iter() {
-                        let ds = shard::lock_group(m);
-                        for s in ds.iter() {
-                            let labels = [
-                                ("server", id.to_string()),
-                                ("kind", cluster.profile_of(id).kind.to_string()),
-                            ];
-                            let next_free = s.disk.next_free();
-                            let booked = s.disk.busy_time();
-                            let busy_to_now = if next_free > now {
-                                booked - (next_free - now)
-                            } else {
-                                booked
-                            };
-                            let window_busy = busy_to_now - prev_busy[id];
-                            prev_busy[id] = busy_to_now;
-                            let util = if window.is_zero() {
-                                0.0
-                            } else {
-                                window_busy.as_nanos() as f64 / window.as_nanos() as f64
-                            };
-                            let t = now.as_nanos();
-                            recorder.series_point(
-                                registry::PFS_SERVER_QUEUE_DEPTH.name,
-                                &labels,
-                                t,
-                                inflight_subs[id] as f64,
-                            );
-                            recorder.series_point(registry::PFS_SERVER_UTIL.name, &labels, t, util);
-                            recorder.series_point(
-                                registry::PFS_SERVER_INFLIGHT_BYTES.name,
-                                &labels,
-                                t,
-                                inflight_bytes[id] as f64,
-                            );
-                            id += 1;
-                        }
-                    }
-                    last_sample = now;
-                    if sched.pending() > 0 {
-                        if let Some(dt) = sample_dt {
-                            sched.schedule(now + dt, Ev::Sample);
-                        }
+                        sched.schedule(grant.end + latency, Ev::ReturnAtClient(sr));
                     }
                 }
             }
-        };
-
-        match prof {
-            Some(p) => engine.run_profiled(p, handler),
-            None => engine.run(handler),
+            Ev::ReturnAtClient(sr) => {
+                let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
+                let grant = client_nics[sr.node as usize].acquire(now, service);
+                if rec_hops {
+                    reqs[sr.req as usize].hops.push(SpanHop {
+                        stage: "client_nic",
+                        server: None,
+                        arrive: now.as_nanos(),
+                        start: grant.start.as_nanos(),
+                        end: grant.end.as_nanos(),
+                    });
+                }
+                sched.schedule(grant.end, Ev::SubDone { req: sr.req });
+            }
+            Ev::SubDone { req } => {
+                let ri = req as usize;
+                let done = {
+                    let r = &mut reqs[ri];
+                    r.pending = r.pending.saturating_sub(1);
+                    r.pending == 0
+                };
+                if done {
+                    if rec_on {
+                        let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                        completed_by_op[op_index(reqs[ri].op)] += 1;
+                    }
+                    if rec_spans {
+                        let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                        let hops = std::mem::take(&mut reqs[ri].hops);
+                        let r = &reqs[ri];
+                        recorder.span(SpanRecord {
+                            id: req as u64,
+                            kind: "request",
+                            labels: vec![
+                                ("client", r.client.to_string()),
+                                ("op", r.op.to_string()),
+                                ("file", r.file.to_string()),
+                                ("size", r.size.to_string()),
+                                ("offset", r.offset.to_string()),
+                            ],
+                            issued: r.issued.as_nanos(),
+                            completed: now.as_nanos(),
+                            hops,
+                        });
+                    }
+                    let r = &reqs[ri];
+                    let lat = (now - r.issued).as_secs_f64();
+                    match r.op {
+                        OpKind::Read => {
+                            read_latency.push(lat);
+                            bytes_read += r.size;
+                        }
+                        OpKind::Write => {
+                            write_latency.push(lat);
+                            bytes_written += r.size;
+                        }
+                    }
+                    completed += 1;
+                    last_completion = last_completion.max(now);
+                    let client = r.client;
+                    let c = &mut clients[client];
+                    c.batch_pending -= 1;
+                    if c.batch_pending == 0 {
+                        sched.schedule(
+                            now,
+                            Ev::StartStep {
+                                client: client as u32,
+                            },
+                        );
+                    }
+                }
+            }
+            Ev::Sample => {
+                // Read-only: sampling must not perturb the simulation. The
+                // tick re-arms itself only while real work remains queued, so
+                // it never extends the run past the last completion.
+                let window = now - last_sample;
+                for (id, s) in disks.iter().enumerate() {
+                    let labels = [
+                        ("server", id.to_string()),
+                        ("kind", cluster.profile_of(id).kind.to_string()),
+                    ];
+                    let next_free = s.disk.next_free();
+                    let booked = s.disk.busy_time();
+                    let busy_to_now = if next_free > now {
+                        booked - (next_free - now)
+                    } else {
+                        booked
+                    };
+                    let window_busy = busy_to_now - prev_busy[id];
+                    prev_busy[id] = busy_to_now;
+                    let util = if window.is_zero() {
+                        0.0
+                    } else {
+                        window_busy.as_nanos() as f64 / window.as_nanos() as f64
+                    };
+                    let t = now.as_nanos();
+                    recorder.series_point(
+                        registry::PFS_SERVER_QUEUE_DEPTH.name,
+                        &labels,
+                        t,
+                        inflight_subs[id] as f64,
+                    );
+                    recorder.series_point(registry::PFS_SERVER_UTIL.name, &labels, t, util);
+                    recorder.series_point(
+                        registry::PFS_SERVER_INFLIGHT_BYTES.name,
+                        &labels,
+                        t,
+                        inflight_bytes[id] as f64,
+                    );
+                }
+                last_sample = now;
+                if sched.pending() > 0 {
+                    if let Some(dt) = sample_dt {
+                        sched.schedule(now + dt, Ev::Sample);
+                    }
+                }
+            }
         }
     };
-
-    if n_groups > 1 {
-        // Deterministic sharded execution: fanout batches fork to the
-        // scoped workers and join before the next event dispatches, so
-        // the engine itself stays strictly sequential.
-        std::thread::scope(|s| {
-            let mut pool = Some(ShardPool::spawn(s, &env));
-            run_engine(&mut engine, &mut pool);
-        });
-    } else {
-        run_engine(&mut engine, &mut None);
+    match prof {
+        Some(p) => engine.run_profiled(p, handler),
+        None => engine.run(handler),
     }
 
     if rec_on {
@@ -668,28 +605,23 @@ pub fn simulate(
                 );
             }
         }
-        let mut id = 0usize;
-        for m in disk_groups.iter() {
-            let ds = shard::lock_group(m);
-            for s in ds.iter() {
-                let labels = [
-                    ("server", id.to_string()),
-                    ("kind", cluster.profile_of(id).kind.to_string()),
-                ];
-                recorder.counter_add(registry::PFS_SERVER_BYTES.name, &labels, s.bytes);
-                recorder.counter_add(
-                    registry::PFS_SERVER_SUB_REQUESTS.name,
-                    &labels,
-                    s.disk.jobs_served(),
-                );
-                recorder.merge_histogram(
-                    registry::PFS_SERVER_QUEUE_WAIT_NS.name,
-                    &labels,
-                    &s.queue_wait,
-                );
-                recorder.merge_histogram(registry::PFS_SERVER_SERVICE_NS.name, &labels, &s.service);
-                id += 1;
-            }
+        for (id, s) in disks.iter().enumerate() {
+            let labels = [
+                ("server", id.to_string()),
+                ("kind", cluster.profile_of(id).kind.to_string()),
+            ];
+            recorder.counter_add(registry::PFS_SERVER_BYTES.name, &labels, s.bytes);
+            recorder.counter_add(
+                registry::PFS_SERVER_SUB_REQUESTS.name,
+                &labels,
+                s.disk.jobs_served(),
+            );
+            recorder.merge_histogram(
+                registry::PFS_SERVER_QUEUE_WAIT_NS.name,
+                &labels,
+                &s.queue_wait,
+            );
+            recorder.merge_histogram(registry::PFS_SERVER_SERVICE_NS.name, &labels, &s.service);
         }
         if let Some(p) = prof {
             p.record_metrics(recorder);
@@ -703,23 +635,20 @@ pub fn simulate(
          (programs disagree on barrier counts)"
     );
 
-    let mut server_reports = Vec::with_capacity(n_servers);
-    for m in disk_groups.iter() {
-        let ds = shard::lock_group(m);
-        for s in ds.iter() {
-            let id = server_reports.len();
-            server_reports.push(ServerReport {
-                id,
-                kind: cluster.profile_of(id).kind,
-                disk_busy: s.disk.busy_time(),
-                nic_busy: server_nics[id].busy_time(),
-                disk_jobs: s.disk.jobs_served(),
-                disk_queued: s.disk.total_queued(),
-                bytes: s.bytes,
-                busy_series: s.busy_series.clone(),
-            });
-        }
-    }
+    let server_reports = disks
+        .into_iter()
+        .enumerate()
+        .map(|(id, s)| ServerReport {
+            id,
+            kind: cluster.profile_of(id).kind,
+            disk_busy: s.disk.busy_time(),
+            nic_busy: server_nics[id].busy_time(),
+            disk_jobs: s.disk.jobs_served(),
+            disk_queued: s.disk.total_queued(),
+            bytes: s.bytes,
+            busy_series: s.busy_series,
+        })
+        .collect();
 
     SimReport {
         makespan: last_completion.max(

@@ -1,8 +1,8 @@
-//! Thread-count determinism: the sharded fan-out pool is a wall-clock
-//! knob, never a results knob. The same scenario must produce
-//! byte-identical serialized reports and metrics JSONL at 1, 2 and 8
-//! threads — including on a cluster wide enough that fan-outs actually
-//! cross `PAR_FANOUT_MIN` and run on the scoped worker pool.
+//! Thread-count determinism: `SimContext::threads` budgets the planner,
+//! and the thread count must not reach `simulate` at all. The same
+//! workload must produce byte-identical serialized reports and metrics
+//! JSONL at 1, 2 and 8 threads, on the paper's 8-server cluster and on a
+//! 256-server one whose reads each fan out to every server.
 
 use harl_pfs::{simulate, ClientProgram, ClusterConfig, FileLayout, PhysRequest};
 use harl_simcore::metrics::MemoryRecorder;
@@ -12,8 +12,7 @@ use std::sync::Arc;
 const STRIPE: u64 = 64 * 1024;
 
 /// Whole-stripe-round reads from `clients` concurrent clients — each
-/// request fans out to every server, so a 256+-server cluster exercises
-/// the pooled path (`PAR_FANOUT_MIN` is 256).
+/// request fans out to every server.
 fn workload(cluster: &ClusterConfig, clients: usize, rpc: u64) -> (FileLayout, Vec<ClientProgram>) {
     let file = FileLayout::fixed(cluster, STRIPE);
     let span = STRIPE * cluster.server_count() as u64;
@@ -42,21 +41,16 @@ fn run_at(cluster: &ClusterConfig, threads: usize) -> (String, Vec<u8>) {
 }
 
 #[test]
-fn small_cluster_reports_are_byte_identical_across_thread_counts() {
-    let cluster = ClusterConfig::hybrid(6, 2);
-    let base = run_at(&cluster, 1);
-    for threads in [2, 8] {
-        assert_eq!(base, run_at(&cluster, threads), "threads={threads}");
-    }
-}
-
-#[test]
-fn pooled_fanout_reports_are_byte_identical_across_thread_counts() {
-    // 256 servers ⇒ whole-round fan-outs hit PAR_FANOUT_MIN and the
-    // batch really runs on scoped worker threads at threads > 1.
-    let cluster = ClusterConfig::hybrid(192, 64);
-    let base = run_at(&cluster, 1);
-    for threads in [2, 8] {
-        assert_eq!(base, run_at(&cluster, threads), "threads={threads}");
+fn reports_are_byte_identical_across_thread_counts() {
+    for cluster in [ClusterConfig::hybrid(6, 2), ClusterConfig::hybrid(192, 64)] {
+        let base = run_at(&cluster, 1);
+        for threads in [2, 8] {
+            assert_eq!(
+                base,
+                run_at(&cluster, threads),
+                "{} servers, threads={threads}",
+                cluster.server_count()
+            );
+        }
     }
 }
