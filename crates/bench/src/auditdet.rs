@@ -7,7 +7,9 @@
 //! metrics JSONL), and fails on any byte difference across thread
 //! budgets. For the default seed it additionally byte-compares the
 //! report against the committed golden, so golden drift and thread-count
-//! sensitivity are caught by one command.
+//! sensitivity are caught by one command. Every report must also hold
+//! its invariants (`check_run`, `check_serve`) on every seed and thread
+//! budget.
 //!
 //! Wall-clock series (`harl.optimizer.plan_wall_s`, `sim.profile.*`) are
 //! the audited exceptions to determinism — they measure real machine
@@ -18,7 +20,7 @@
 //! platforms, and streamable (hashing chunk-by-chunk equals hashing the
 //! concatenation — pinned by a proptest below).
 
-use harl_repro::scenario::{Scenario, ServeSpec};
+use harl_repro::scenario::{Scenario, ScenarioReport, ServeReport, ServeSpec};
 use harl_simcore::metrics::MemoryRecorder;
 use harl_simcore::{SimContext, SimNanos};
 use std::path::Path;
@@ -197,6 +199,47 @@ impl AuditReport {
     }
 }
 
+/// A run report's invariant: a priced plan (only `three_tier` has
+/// priced tiers) costs more than nothing.
+fn check_run(report: &ScenarioReport) -> Result<(), String> {
+    match report.plan_cost_usd {
+        Some(usd) if usd <= 0.0 => Err(format!("plan_cost_usd is {usd}, not positive")),
+        _ => Ok(()),
+    }
+}
+
+/// A serve report's invariants: every job is a hit, a stale refresh or a
+/// miss; every enqueued width update is applied or coalesced; and the
+/// replay hits its plan cache.
+fn check_serve(report: &ServeReport) -> Result<(), String> {
+    let ServeReport {
+        jobs,
+        plans_hit,
+        plans_stale,
+        plans_miss,
+        batch_enqueued,
+        batch_applied,
+        batch_coalesced,
+        cache_hit_rate,
+        ..
+    } = *report;
+    if plans_hit + plans_stale + plans_miss != jobs {
+        return Err(format!(
+            "plans hit {plans_hit} + stale {plans_stale} + miss {plans_miss} != {jobs} jobs"
+        ));
+    }
+    if batch_applied + batch_coalesced != batch_enqueued {
+        return Err(format!(
+            "batch applied {batch_applied} + coalesced {batch_coalesced} != \
+             {batch_enqueued} enqueued"
+        ));
+    }
+    if cache_hit_rate <= 0.0 {
+        return Err("the replay never hit its plan cache".to_string());
+    }
+    Ok(())
+}
+
 fn run_case(
     root: &Path,
     case: &Case,
@@ -214,7 +257,9 @@ fn run_case(
             if let Some(s) = seed {
                 ctx = ctx.with_seed(s);
             }
-            scenario.run(&ctx)?.to_json_pretty() + "\n"
+            let report = scenario.run(&ctx)?;
+            check_run(&report)?;
+            report.to_json_pretty() + "\n"
         }
         CaseKind::Serve => {
             let mut spec = ServeSpec::from_path(&path).map_err(|e| e.to_string())?;
@@ -222,7 +267,9 @@ fn run_case(
                 spec.traffic.seed = s;
             }
             let ctx = SimContext::recorded(memory.clone()).with_threads(threads);
-            spec.run(&ctx)?.to_json_pretty() + "\n"
+            let report = spec.run(&ctx)?;
+            check_serve(&report)?;
+            report.to_json_pretty() + "\n"
         }
     };
     let mut buf = Vec::new();
@@ -311,27 +358,13 @@ fn audit_row(
 }
 
 /// Run the determinism audit from `root` (the repo checkout holding
-/// `scenarios/`).
-///
-/// The full tier replays every pinned scenario at thread budgets
-/// {1, 2, 8} under the scenario's own seed and [`ALT_SEED`]; the fast
-/// tier (`--fast`, the ci.sh stage) drops three_tier and runs the smoke,
-/// multiapp, btio and wide scenarios at budgets {1, 8} under the default
-/// seed only.
-pub fn run_audit(root: &Path, fast: bool) -> AuditReport {
-    let threads: &[usize] = if fast { &[1, 8] } else { &[1, 2, 8] };
-    let seeds: &[Option<u64>] = if fast {
-        &[None]
-    } else {
-        &[None, Some(ALT_SEED)]
-    };
+/// `scenarios/`): every pinned scenario at thread budgets {1, 2, 8}, under
+/// the scenario's own seed and under [`ALT_SEED`].
+pub fn run_audit(root: &Path) -> AuditReport {
     let mut report = AuditReport::default();
     for case in CASES {
-        if fast && case.name == "three_tier" {
-            continue;
-        }
-        for &seed in seeds {
-            audit_row(root, case, seed, threads, &mut report);
+        for seed in [None, Some(ALT_SEED)] {
+            audit_row(root, case, seed, &[1, 2, 8], &mut report);
         }
     }
     report
@@ -403,6 +436,42 @@ mod tests {
                 h.update(&data[w[0]..w[1]]);
             }
             prop_assert_eq!(h.finish(), fnv64(&data));
+        }
+    }
+
+    #[test]
+    fn report_invariants_reject_broken_reports() {
+        let root = workspace_root();
+        let golden = |name: &str| {
+            std::fs::read_to_string(root.join(format!("scenarios/{name}.golden.json")))
+                .expect("golden is readable")
+        };
+        let mut run = ScenarioReport::from_json(&golden("three_tier")).expect("run report");
+        assert!(run.plan_cost_usd.is_some_and(|usd| usd > 0.0));
+        assert_eq!(check_run(&run), Ok(()));
+        run.plan_cost_usd = Some(0.0);
+        assert!(check_run(&run).is_err());
+        run.plan_cost_usd = None;
+        assert_eq!(check_run(&run), Ok(()));
+
+        let serve = ServeReport::from_json(&golden("multiapp")).expect("serve report");
+        assert_eq!(check_serve(&serve), Ok(()));
+        let broken = [
+            ServeReport {
+                plans_hit: serve.plans_hit + 1,
+                ..serve.clone()
+            },
+            ServeReport {
+                batch_applied: serve.batch_applied + 1,
+                ..serve.clone()
+            },
+            ServeReport {
+                cache_hit_rate: 0.0,
+                ..serve.clone()
+            },
+        ];
+        for report in &broken {
+            assert!(check_serve(report).is_err(), "{report:?}");
         }
     }
 

@@ -11,21 +11,16 @@
 //! harl-cli simulate    <trace.jsonl> <rst.json> [--hservers M] [--sservers N]
 //!                      [--metrics-out metrics.jsonl] [--trace-out trace.json]
 //!                      [--sample-ms MS]
-//! harl-cli bench-planning [--json] [--quick] [--threads T] [--guard baseline.json]
-//!                      [--out path]
-//! harl-cli bench-sim   [--json] [--quick] [--guard baseline.json] [--out path]
-//! harl-cli bench-serve [--json] [--quick] [--threads T] [--guard baseline.json]
-//!                      [--out path]
 //! harl-cli report      <metrics.jsonl>
 //! harl-cli run --scenario scenario.json [--out report.json] [--seed S]
 //!              [--threads T] [--metrics-out metrics.jsonl] [--sample-ms MS]
 //! harl-cli serve --scenario serve.json [--out report.json] [--threads T]
 //!              [--metrics-out metrics.jsonl]
 //! harl-cli lint [--root DIR] [--json]
-//! harl-cli audit-determinism [--root DIR] [--fast]
+//! harl-cli audit-determinism [--root DIR]
 //! ```
 //!
-//! Sizes accept suffixes `K`, `M`, `G` (binary).
+//! Sizes accept suffixes `K`, `M`, `G` (binary) and must be positive.
 //!
 //! `--metrics-out` records the simulation (per-server queue-wait and
 //! service-time histograms, per-region routing counters, per-region
@@ -66,16 +61,13 @@ fn usage() -> ! {
          harl-cli inspect <rst.json>\n  harl-cli simulate <trace.jsonl> <rst.json> \
          [--hservers M] [--sservers N] [--metrics-out metrics.jsonl] [--trace-out trace.json] \
          [--sample-ms MS]\n  \
-         harl-cli bench-planning [--json] [--quick] [--threads T] [--guard baseline.json] [--out path]\n  \
-         harl-cli bench-sim [--json] [--quick] [--guard baseline.json] [--out path]\n  \
-         harl-cli bench-serve [--json] [--quick] [--threads T] [--guard baseline.json] [--out path]\n  \
          harl-cli report <metrics.jsonl>\n  \
          harl-cli run --scenario scenario.json [--out report.json] [--seed S] [--threads T] \
          [--metrics-out metrics.jsonl] [--sample-ms MS]\n  \
          harl-cli serve --scenario serve.json [--out report.json] [--threads T] \
          [--metrics-out metrics.jsonl]\n  \
          harl-cli lint [--root DIR] [--json]\n  \
-         harl-cli audit-determinism [--root DIR] [--fast]"
+         harl-cli audit-determinism [--root DIR]"
     );
     std::process::exit(2);
 }
@@ -89,7 +81,19 @@ fn parse_size(s: &str) -> Option<u64> {
         'G' | 'g' => (&s[..s.len() - 1], 1 << 30),
         _ => (s, 1),
     };
-    num.parse::<u64>().ok().map(|n| n * mult)
+    num.parse::<u64>().ok()?.checked_mul(mult)
+}
+
+/// The value of `--file-size` or `--region-size`: a positive size that
+/// fits in a `u64`; anything else is a usage error.
+fn size_flag(flag: &str, value: Option<&String>) -> u64 {
+    match value.and_then(|v| parse_size(v)) {
+        Some(n) if n > 0 => n,
+        _ => {
+            eprintln!("{flag} takes a positive size below 16 EiB, such as 512K, 16M or 2G");
+            usage()
+        }
+    }
 }
 
 struct Opts {
@@ -102,14 +106,11 @@ struct Opts {
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     json: bool,
-    quick: bool,
-    fast: bool,
     threads: Option<usize>,
     scenario: Option<PathBuf>,
     seed: Option<u64>,
     root: Option<PathBuf>,
     sample_ms: Option<f64>,
-    guard: Option<PathBuf>,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -123,24 +124,16 @@ fn parse_opts(args: &[String]) -> Opts {
         metrics_out: None,
         trace_out: None,
         json: false,
-        quick: false,
-        fast: false,
         threads: None,
         scenario: None,
         seed: None,
         root: None,
         sample_ms: None,
-        guard: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--file-size" => {
-                opts.file_size = it.next().and_then(|v| parse_size(v));
-                if opts.file_size.is_none() {
-                    usage();
-                }
-            }
+            "--file-size" => opts.file_size = Some(size_flag(arg, it.next())),
             "--hservers" => {
                 opts.hservers = it
                     .next()
@@ -161,8 +154,6 @@ fn parse_opts(args: &[String]) -> Opts {
                 opts.trace_out = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage()))
             }
             "--json" => opts.json = true,
-            "--quick" => opts.quick = true,
-            "--fast" => opts.fast = true,
             "--threads" => {
                 opts.threads = it.next().and_then(|v| v.parse().ok());
                 if opts.threads.is_none() {
@@ -179,7 +170,6 @@ fn parse_opts(args: &[String]) -> Opts {
                 }
             }
             "--root" => opts.root = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage())),
-            "--guard" => opts.guard = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage())),
             "--sample-ms" => {
                 opts.sample_ms = it.next().and_then(|v| v.parse().ok());
                 match opts.sample_ms {
@@ -187,12 +177,7 @@ fn parse_opts(args: &[String]) -> Opts {
                     _ => usage(),
                 }
             }
-            "--region-size" => {
-                opts.region_size = it.next().and_then(|v| parse_size(v));
-                if opts.region_size.is_none() {
-                    usage();
-                }
-            }
+            "--region-size" => opts.region_size = Some(size_flag(arg, it.next())),
             other if other.starts_with("--") => usage(),
             other => opts.positional.push(other.to_string()),
         }
@@ -453,206 +438,6 @@ fn cmd_simulate(opts: &Opts) {
     }
 }
 
-fn cmd_bench_planning(opts: &Opts) {
-    use harl_bench::planning::{run_planning_bench, run_planning_guard, PlanningScale};
-    if !opts.positional.is_empty() {
-        usage();
-    }
-    if let Some(path) = &opts.guard {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {} is not JSON: {e}", path.display());
-            std::process::exit(1);
-        });
-        match run_planning_guard(&baseline) {
-            Ok(lines) => {
-                print!("{lines}");
-                println!("planning throughput within budget of {}", path.display());
-            }
-            Err(msg) => {
-                eprintln!("bench-planning guard: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let scale = if opts.quick {
-        PlanningScale::quick()
-    } else {
-        PlanningScale::full()
-    };
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| harl_core::OptimizerConfig::default().threads);
-    let doc = run_planning_bench(scale, threads, opts.quick);
-    let phases = &doc["phases"];
-    for phase in ["single_region", "whole_file_64", "online_replan"] {
-        let p = &phases[phase];
-        let wall = p["wall_s"].as_f64().unwrap_or(0.0);
-        let cands = p["candidates"].as_f64();
-        match cands {
-            Some(c) => println!(
-                "{phase:<16} {wall:>10.4} s  {c:>10.0} candidates  {:>12.0} cands/s",
-                c / wall.max(1e-12)
-            ),
-            None => println!("{phase:<16} {wall:>10.4} s"),
-        }
-    }
-    if opts.json {
-        let path = opts
-            .out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_planning.json"));
-        let text = serde_json::to_string_pretty(&doc).unwrap_or_else(|e| {
-            eprintln!("cannot serialise bench doc: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(&path, text + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!("wrote {}", path.display());
-    }
-}
-
-fn cmd_bench_sim(opts: &Opts) {
-    use harl_bench::simbench::{run_sim_bench, run_sim_guard, SimScale};
-    if !opts.positional.is_empty() {
-        usage();
-    }
-    if let Some(path) = &opts.guard {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {} is not JSON: {e}", path.display());
-            std::process::exit(1);
-        });
-        match run_sim_guard(&baseline) {
-            Ok(lines) => {
-                print!("{lines}");
-                println!("events/s within budget of {}", path.display());
-            }
-            Err(msg) => {
-                eprintln!("bench-sim guard: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let scale = if opts.quick {
-        SimScale::quick()
-    } else {
-        SimScale::full()
-    };
-    let doc = run_sim_bench(scale, opts.quick);
-    if let Some(tiers) = doc["tiers"].as_array() {
-        for tier in tiers {
-            println!(
-                "{:>5} servers  {:>9} events  {:>12.0} events/s  recorder overhead {:>+6.2}%",
-                tier["servers"].as_u64().unwrap_or(0),
-                tier["events"].as_u64().unwrap_or(0),
-                tier["events_per_s"].as_f64().unwrap_or(0.0),
-                tier["recorder_overhead_pct"].as_f64().unwrap_or(0.0),
-            );
-        }
-    }
-    println!(
-        "max recorder overhead: {:+.2}% (budget < 15%)",
-        doc["max_recorder_overhead_pct"].as_f64().unwrap_or(0.0)
-    );
-    if opts.json {
-        let path = opts
-            .out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_sim.json"));
-        let text = serde_json::to_string_pretty(&doc).unwrap_or_else(|e| {
-            eprintln!("cannot serialise bench doc: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(&path, text + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!("wrote {}", path.display());
-    }
-}
-
-fn cmd_bench_serve(opts: &Opts) {
-    use harl_bench::servebench::{run_serve_bench, run_serve_guard, ServeScale};
-    if !opts.positional.is_empty() {
-        usage();
-    }
-    if let Some(path) = &opts.guard {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {} is not JSON: {e}", path.display());
-            std::process::exit(1);
-        });
-        match run_serve_guard(&baseline) {
-            Ok(lines) => {
-                print!("{lines}");
-                println!(
-                    "serve deterministic counters match {} (throughput informational)",
-                    path.display()
-                );
-            }
-            Err(msg) => {
-                eprintln!("bench-serve guard: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let scale = if opts.quick {
-        ServeScale::quick()
-    } else {
-        ServeScale::full()
-    };
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| harl_core::OptimizerConfig::default().threads);
-    let doc = run_serve_bench(scale, threads, opts.quick);
-    if let Some(tiers) = doc["tiers"].as_array() {
-        for tier in tiers {
-            println!(
-                "{:>5} tenants  {:>5} subs  warm {:>10.0} plans/s (p50 {:.3} ms, p99 {:.3} ms, \
-                 hit {:.0}%)  cold {:>8.0} plans/s  speedup {:>5.1}x",
-                tier["tenants"].as_u64().unwrap_or(0),
-                tier["submissions"].as_u64().unwrap_or(0),
-                tier["warm"]["plans_per_s"].as_f64().unwrap_or(0.0),
-                tier["warm"]["p50_ms"].as_f64().unwrap_or(0.0),
-                tier["warm"]["p99_ms"].as_f64().unwrap_or(0.0),
-                tier["warm"]["cache_hit_rate"].as_f64().unwrap_or(0.0) * 100.0,
-                tier["cold"]["plans_per_s"].as_f64().unwrap_or(0.0),
-                tier["speedup"].as_f64().unwrap_or(0.0),
-            );
-        }
-    }
-    if opts.json {
-        let path = opts
-            .out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_serve.json"));
-        let text = serde_json::to_string_pretty(&doc).unwrap_or_else(|e| {
-            eprintln!("cannot serialise bench doc: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(&path, text + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!("wrote {}", path.display());
-    }
-}
-
 fn cmd_report(opts: &Opts) {
     let [path] = opts.positional.as_slice() else {
         usage()
@@ -796,7 +581,7 @@ fn cmd_audit_determinism(opts: &Opts) {
         usage();
     }
     let root = opts.root.clone().unwrap_or_else(|| PathBuf::from("."));
-    let report = harl_bench::auditdet::run_audit(&root, opts.fast);
+    let report = harl_bench::auditdet::run_audit(&root);
     print!("{}", report.render_human());
     if !report.is_clean() {
         std::process::exit(1);
@@ -834,9 +619,6 @@ fn main() {
         "plan" => cmd_plan(&opts),
         "inspect" => cmd_inspect(&opts),
         "simulate" => cmd_simulate(&opts),
-        "bench-planning" => cmd_bench_planning(&opts),
-        "bench-sim" => cmd_bench_sim(&opts),
-        "bench-serve" => cmd_bench_serve(&opts),
         "report" => cmd_report(&opts),
         "run" => cmd_run(&opts),
         "serve" => cmd_serve(&opts),

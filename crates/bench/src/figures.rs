@@ -1,8 +1,8 @@
 //! One function per results figure of the paper.
 //!
 //! Every function prints nothing itself; it returns the rendered table and
-//! a JSON value so callers (the `experiments` binary, tests, criterion
-//! benches) decide what to do with them.
+//! a JSON value so callers (the `experiments` binary, tests) decide what
+//! to do with them. Wall time is measured by `benchmark/`.
 
 use crate::harness::{
     best, harl_policy, improvement_pct, measure, paper_policies, render_table, PolicyOutcome, Scale,

@@ -24,10 +24,6 @@ pub mod ablations;
 pub mod auditdet;
 pub mod figures;
 pub mod harness;
-pub mod planning;
-pub mod servebench;
-pub mod simbench;
-pub mod support;
 
 pub use ablations::*;
 pub use figures::*;

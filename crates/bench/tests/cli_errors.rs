@@ -81,3 +81,24 @@ fn cluster_without_servers_is_a_usage_error() {
     expect_exit(&plan, 2);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn zero_or_overflowing_sizes_are_usage_errors() {
+    let dir = inputs(
+        "sizes",
+        r#"{"entries": [{"offset": 0, "len": 1048576, "h": 65536, "s": 65536}]}"#,
+    );
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().unwrap();
+    for (cmd, flag, size) in [
+        ("plan", "--file-size", "0"),
+        // 2^34 GiB is 2^64 bytes: one past u64::MAX.
+        ("plan", "--file-size", "17179869184G"),
+        ("plan", "--region-size", "0"),
+        ("trace-info", "--region-size", "0"),
+    ] {
+        let stderr = expect_exit(&[cmd, trace, flag, size], 2);
+        assert!(stderr.contains(flag), "{cmd} {flag} {size}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -390,7 +390,7 @@ mod tests {
         assert!(in_scope("crates/pfs/src/disk.rs", DETERMINISM_SCOPES));
         assert!(in_scope("crates/pfs/src/disk.rs", PANIC_SCOPES));
         assert!(!in_scope(
-            "crates/bench/src/planning.rs",
+            "crates/bench/src/ablations.rs",
             DETERMINISM_SCOPES
         ));
         assert!(!in_scope("crates/bench/src/bin/harl_cli.rs", PANIC_SCOPES));

@@ -33,8 +33,8 @@
 //! The service is part of the deterministic data path: no wall clock, no
 //! map-iteration nondeterminism (every map is a `BTreeMap`), and the same
 //! submission sequence replays bit-identically at any thread count.
-//! Wall-clock latency accounting therefore lives in the bench crate
-//! (`harl-cli bench-serve`), never here.
+//! Wall-clock latency accounting therefore lives in the seeded benchmark
+//! (`benchmark/`, the `serve_fleet` workload), never here.
 
 // Index/iteration hygiene, ratcheted to deny: the batching and merge
 // paths in this module are exactly where an indexed loop can silently
@@ -63,8 +63,8 @@ pub struct ServeConfig {
     pub plan_cache_capacity: usize,
     /// Cross-tenant per-region grid-result pool capacity. 0 disables
     /// incremental re-planning entirely (every reuse tier, including a
-    /// tenant's own previous plan) — the cold baseline `bench-serve`
-    /// measures against.
+    /// tenant's own previous plan): the cold baseline to time a warm
+    /// service against.
     pub region_cache_capacity: usize,
     /// Algorithm 1 tuning shared by fingerprinting and planning (the two
     /// must agree, or fingerprint regions would not match plan regions).

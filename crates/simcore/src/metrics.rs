@@ -216,8 +216,8 @@ struct Registry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceDetail {
     /// Metrics only: spans are dropped, span assembly is skipped at the
-    /// instrumentation sites. The cheapest recorded mode — the
-    /// `bench-sim` recorder-overhead budget (< 5%) is measured here.
+    /// instrumentation sites. The cheapest recorded mode; `benchmark/`
+    /// reports what recording costs as `sim.recorder_s`.
     Metrics,
     /// Metrics plus one [`SpanRecord`] per request, without per-hop
     /// detail.
