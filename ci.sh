@@ -48,8 +48,8 @@ echo "smoke report and rendered metrics report match their goldens"
 rm -rf "$out"
 
 echo "== determinism audit =="
-# Replays the five scenario goldens at planner threads 1/2/8 under two
-# seeds (30 runs) and fails on any byte difference across thread budgets,
+# Replays the six scenario goldens at planner threads 1/2/8 under two
+# seeds (36 runs) and fails on any byte difference across thread budgets,
 # any golden mismatch and any broken report invariant (see
 # crates/bench/src/auditdet.rs).
 cargo run --release -q -p harl-bench --bin harl-cli -- audit-determinism

@@ -155,6 +155,14 @@ const CASES: &[Case] = &[
         scenario: "scenarios/wide.json",
         golden: "scenarios/wide.golden.json",
     },
+    // The same fan-out as writes: the one golden whose write completions
+    // are that wide (btio's nine writers are the other write path).
+    Case {
+        name: "wide_write",
+        kind: CaseKind::Run,
+        scenario: "scenarios/wide_write.json",
+        golden: "scenarios/wide_write.golden.json",
+    },
 ];
 
 /// The alternate seed every case is re-audited under (the default seed is
