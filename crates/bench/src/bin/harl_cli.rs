@@ -427,10 +427,9 @@ fn cmd_simulate(opts: &Opts) {
     // A coarse utilisation sparkline per server over the run.
     let blocks = [' ', '.', ':', '-', '=', '#'];
     for s in &report.servers {
-        let util = s.busy_series.utilisation();
-        let active = (report.makespan.as_nanos() / s.busy_series.width.as_nanos() + 1)
-            .min(util.len() as u64) as usize;
-        let line: String = util[..active]
+        let line: String = s
+            .busy_series
+            .utilisation_through(report.makespan)
             .iter()
             .map(|&u| blocks[((u.min(1.0)) * (blocks.len() - 1) as f64).round() as usize])
             .collect();

@@ -102,3 +102,48 @@ fn zero_or_overflowing_sizes_are_usage_errors() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn trace_record_past_u64_exits_1() {
+    let dir = inputs(
+        "trace-overflow",
+        r#"{"entries": [{"offset": 0, "len": 1048576, "h": 65536, "s": 65536}]}"#,
+    );
+    // offset + size is 2^64 + 64920: the record's extent wraps.
+    let wrapping =
+        "{\"rank\":0,\"fd\":0,\"op\":\"Read\",\"offset\":18446744073709551000,\"size\":65536,\"timestamp\":0}\n";
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(&trace, format!("{TRACE}{wrapping}")).expect("write the trace");
+    let trace = trace.to_str().unwrap();
+    let named =
+        |stderr: &str| stderr.contains("trace.jsonl:2:") && stderr.contains("overflows u64");
+    let stderr = simulate(&dir, &[], 1);
+    assert!(named(&stderr), "simulate: {stderr}");
+    for args in [
+        vec!["trace-info", trace],
+        vec!["plan", trace, "--file-size", "1M"],
+    ] {
+        let stderr = expect_exit(&args, 1);
+        assert!(named(&stderr), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rst_row_past_u64_exits_1() {
+    // Row 1 wraps to end at 5, where row 2 starts: it tiles only because
+    // its end wrapped.
+    let dir = inputs(
+        "rst-overflow",
+        r#"{"entries": [
+            {"offset": 0, "len": 10, "h": 1, "s": 1},
+            {"offset": 10, "len": 18446744073709551611, "h": 1, "s": 1},
+            {"offset": 5, "len": 10, "h": 1, "s": 1}
+        ]}"#,
+    );
+    let rst = dir.join("rst.json");
+    let stderr = expect_exit(&["inspect", rst.to_str().unwrap()], 1);
+    assert!(stderr.contains("row 1"), "{stderr}");
+    assert!(stderr.contains("overflows u64"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -135,26 +135,39 @@ fn planning_candidate_counts() {
 
 #[test]
 fn engine_event_counts() {
-    // (servers, clients, reads per client, events dispatched).
+    // Events per request: a read is StartStep, MdsDone, DiskFanout and
+    // ReqDone plus DiskDone and ReturnAtClient per sub-request
+    // (4 + 2·subs); a write is StartStep, MdsDone and ReqDone plus
+    // ArriveServerNic, ArriveDisk and DiskDone per sub-request
+    // (3 + 3·subs). Each client adds one final StartStep.
+    //
+    // (op, servers, clients, requests per client, events dispatched,
+    //  makespan ns).
     let tiers = [
-        (8, 64, 96, 165_952),
-        (256, 16, 96, 1_184_272),
-        (1024, 4, 96, 1_180_804),
-        (4096, 8, 102, 10_029_464),
+        (OpKind::Read, 8, 64, 96, 122_944, 12_679_855_544),
+        (OpKind::Read, 256, 16, 96, 792_592, 12_888_405_484),
+        (OpKind::Read, 1024, 4, 96, 787_972, 25_838_004_240),
+        (OpKind::Read, 4096, 8, 102, 6_687_944, 109_595_701_024),
+        (OpKind::Write, 64, 32, 48, 299_552, 3_681_788_651),
     ];
     const STRIPE: u64 = 64 * KB;
-    for (servers, clients, reads, events) in tiers {
+    for (op, servers, clients, per_client, events, makespan) in tiers {
         // 3:1 HServers to SServers, the paper testbed's 6 + 2 ratio.
         let cluster = ClusterConfig::hybrid(servers - servers / 4, servers / 4);
         let file = FileLayout::fixed(&cluster, STRIPE);
-        // Each read covers one whole stripe round, so it fans out to every
-        // server; each client reads its own slice of the file in order.
+        // Each request covers one whole stripe round, so it fans out to
+        // every server; each client works through its own slice of the
+        // file in order.
         let round = STRIPE * servers as u64;
         let progs: Vec<_> = (0..clients)
             .map(|c| {
                 let mut p = ClientProgram::new();
-                for i in 0..reads {
-                    p.push_request(PhysRequest::read(0, (c * reads + i) * round, round));
+                for i in 0..per_client {
+                    let offset = (c * per_client + i) * round;
+                    p.push_request(match op {
+                        OpKind::Read => PhysRequest::read(0, offset, round),
+                        OpKind::Write => PhysRequest::write(0, offset, round),
+                    });
                 }
                 p
             })
@@ -166,20 +179,21 @@ fn engine_event_counts() {
             &[file],
             &progs,
         );
+        let tier = format!("{op} on {servers} servers");
+        let requests = clients * per_client;
+        let subs = servers as u64;
+        let per_request = match op {
+            OpKind::Read => 4 + 2 * subs,
+            OpKind::Write => 3 + 3 * subs,
+        };
+        assert_eq!(events, requests * per_request + clients, "{tier}");
         let dispatched = memory.counter_value(registry::SIM_EVENTS_DISPATCHED.name, &[]);
-        assert_eq!(dispatched, events, "{servers} servers");
-        assert_eq!(
-            report.requests_completed,
-            clients * reads,
-            "{servers} servers"
-        );
+        assert_eq!(dispatched, events, "{tier}");
+        assert_eq!(report.makespan.as_nanos(), makespan, "{tier}");
+        assert_eq!(report.requests_completed, requests, "{tier}");
         assert_eq!(report.servers.len(), servers);
         for s in &report.servers {
-            assert!(
-                s.bytes > 0,
-                "{servers} servers: server {} moved no bytes",
-                s.id
-            );
+            assert!(s.bytes > 0, "{tier}: server {} moved no bytes", s.id);
         }
     }
 }

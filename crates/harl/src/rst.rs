@@ -156,6 +156,12 @@ impl RegionStripeTable {
             if e.len == 0 {
                 return Err(format!("zero-length RST region at {} (row {i})", e.offset));
             }
+            if e.offset.checked_add(e.len).is_none() {
+                return Err(format!(
+                    "RST region at {} (row {i}) of length {} overflows u64",
+                    e.offset, e.len
+                ));
+            }
             if e.widths.iter().all(|&w| w == 0) {
                 return Err(format!(
                     "RST region at {} (row {i}) has no capacity",
@@ -443,6 +449,25 @@ mod tests {
             RstEntry::two(0, 10, 1, 1),
             RstEntry::new(10, 10, vec![1, 1, 1]),
         ]);
+    }
+
+    #[test]
+    fn wrapping_row_rejected_even_when_it_tiles() {
+        // Row 1 ends past u64::MAX; wrapped, its end would be 5, which is
+        // exactly where row 2 starts, so the tiling check alone passes it.
+        let rows = vec![
+            RstEntry::two(0, 10, 1, 1),
+            RstEntry::two(10, u64::MAX - 4, 1, 1),
+            RstEntry::two(5, 10, 1, 1),
+        ];
+        let err = RegionStripeTable::try_new(rows).unwrap_err();
+        assert!(
+            err.contains("(row 1)") && err.contains("overflows u64"),
+            "{err}"
+        );
+        // A row ending exactly at u64::MAX fits.
+        let fits = RegionStripeTable::try_new(vec![RstEntry::two(0, u64::MAX, 1, 1)]);
+        assert_eq!(fits.map(|t| t.file_size()), Ok(u64::MAX));
     }
 
     #[test]

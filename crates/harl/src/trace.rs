@@ -122,16 +122,22 @@ impl Trace {
         w.flush()
     }
 
-    /// Load from JSON lines; blank lines are skipped.
+    /// Load from JSON lines; blank lines are skipped. A line that does
+    /// not parse, or whose `offset + size` overflows u64, fails the load
+    /// with an error naming the line.
     pub fn load<R: Read>(r: R) -> std::io::Result<Self> {
         let mut records = Vec::new();
-        for line in BufReader::new(r).lines() {
+        for (idx, line) in BufReader::new(r).lines().enumerate() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let rec: TraceRecord = serde_json::from_str(&line)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            let rec = parse_line(&line).map_err(|reason| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("line {}: {reason}", idx + 1),
+                )
+            })?;
             records.push(rec);
         }
         Ok(Trace { records })
@@ -142,8 +148,9 @@ impl Trace {
         self.save(std::fs::File::create(path)?)
     }
 
-    /// Load from a file path; parse failures report the file, the
-    /// offending line, and the reason.
+    /// Load from a file path; parse failures and records whose
+    /// `offset + size` overflows u64 report the file, the offending line,
+    /// and the reason.
     pub fn load_from_path(path: &Path) -> Result<Self, crate::errors::LoadError> {
         use crate::errors::LoadError;
         let data = std::fs::read_to_string(path)
@@ -153,15 +160,29 @@ impl Trace {
             if line.trim().is_empty() {
                 continue;
             }
-            let rec: TraceRecord = serde_json::from_str(line).map_err(|e| LoadError {
+            let rec = parse_line(line).map_err(|reason| LoadError {
                 path: path.to_path_buf(),
                 line: Some(idx + 1),
-                reason: e.to_string(),
+                reason,
             })?;
             records.push(rec);
         }
         Ok(Trace { records })
     }
+}
+
+/// Parse one JSON-lines record. A request whose extent runs past the end
+/// of a u64 offset has no place in any file, so it is rejected here rather
+/// than wrapping in every extent sum downstream.
+fn parse_line(line: &str) -> Result<TraceRecord, String> {
+    let rec: TraceRecord = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    if rec.offset.checked_add(rec.size).is_none() {
+        return Err(format!(
+            "offset {} + size {} overflows u64",
+            rec.offset, rec.size
+        ));
+    }
+    Ok(rec)
 }
 
 #[cfg(test)]
@@ -247,5 +268,31 @@ mod tests {
     fn load_rejects_garbage() {
         let data = b"not json\n";
         assert!(Trace::load(&data[..]).is_err());
+    }
+
+    #[test]
+    fn load_rejects_an_extent_past_u64_naming_its_line() {
+        let mut last = rec(u64::MAX - 65_535, 65_535, OpKind::Read);
+        let t = Trace::from_records(vec![rec(0, 4096, OpKind::Read), last]);
+        let mut buf = Vec::new();
+        t.save(&mut buf).unwrap();
+        // Ending exactly at u64::MAX still fits.
+        assert_eq!(Trace::load(&buf[..]).unwrap(), t);
+
+        last.size += 1;
+        let t = Trace::from_records(vec![rec(0, 4096, OpKind::Read), last]);
+        let mut buf = Vec::new();
+        t.save(&mut buf).unwrap();
+        let err = Trace::load(&buf[..]).unwrap_err().to_string();
+        assert!(err.starts_with("line 2: "), "{err}");
+        assert!(err.contains("overflows u64"), "{err}");
+
+        let path =
+            std::env::temp_dir().join(format!("harl-trace-overflow-{}.jsonl", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        let err = Trace::load_from_path(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.line, Some(2));
+        assert!(err.reason.contains("overflows u64"), "{}", err.reason);
     }
 }

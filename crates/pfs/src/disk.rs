@@ -16,7 +16,9 @@ use harl_simcore::{Histogram, SimNanos, SimRng, Timeline};
 
 /// Width of the per-server utilisation buckets in reports.
 const BUSY_BUCKET_WIDTH: SimNanos = SimNanos(100_000_000); // 100 ms
-/// Bucket count (the last bucket absorbs longer runs).
+/// Most buckets a series grows to (the last bucket absorbs longer runs).
+/// A series holds only the buckets its server's grants reach, so a run
+/// pays for its own length, not for this cap.
 const BUSY_BUCKETS: usize = 1024;
 
 /// Disk-side state of one server. The server's NIC timeline lives in the

@@ -13,30 +13,45 @@ use std::fmt::Write as _;
 /// Fixed-width busy-time buckets: `buckets[i]` is how much of bucket i's
 /// wall-clock window the device spent serving. Gives a utilisation
 /// time-series without storing per-grant history.
+///
+/// The series is sized to the run: `buckets` grows only up to the last
+/// bucket a recorded interval touches, and never past `cap`. A bucket
+/// past the end of `buckets` saw no service, so readers treat it as idle
+/// (see [`utilisation_through`](Self::utilisation_through)).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BusyBuckets {
     /// Bucket width.
     pub width: SimNanos,
-    /// Busy time accumulated per bucket (last bucket absorbs overflow).
+    /// Most buckets the series grows to; the last absorbs overflow.
+    pub cap: usize,
+    /// Busy time accumulated per bucket, through the last one touched.
     pub buckets: Vec<SimNanos>,
 }
 
 impl BusyBuckets {
-    /// New series with `count` buckets of `width` each.
-    pub fn new(width: SimNanos, count: usize) -> Self {
-        assert!(!width.is_zero() && count > 0, "degenerate bucket config");
+    /// New, empty series of buckets `width` wide, at most `cap` of them.
+    pub fn new(width: SimNanos, cap: usize) -> Self {
+        assert!(!width.is_zero() && cap > 0, "degenerate bucket config");
         BusyBuckets {
             width,
-            buckets: vec![SimNanos::ZERO; count],
+            cap,
+            buckets: Vec::new(),
         }
     }
 
     /// Record a service interval `[start, end)`.
     pub fn record(&mut self, start: SimNanos, end: SimNanos) {
         let w = self.width.as_nanos();
-        let last = self.buckets.len() - 1;
+        let last = self.cap - 1;
         let mut pos = start.as_nanos();
         let end = end.as_nanos();
+        if pos >= end {
+            return;
+        }
+        let touched = ((end - 1) / w).min(last as u64) as usize + 1;
+        if self.buckets.len() < touched {
+            self.buckets.resize(touched, SimNanos::ZERO);
+        }
         while pos < end {
             let idx = ((pos / w) as usize).min(last);
             let bucket_end = if idx == last {
@@ -50,14 +65,24 @@ impl BusyBuckets {
         }
     }
 
-    /// Utilisation fraction per bucket (last bucket may exceed 1.0 since
-    /// it absorbs overflow).
+    /// Utilisation fraction per recorded bucket (the last bucket of a
+    /// full series may exceed 1.0 since it absorbs overflow).
     pub fn utilisation(&self) -> Vec<f64> {
         let w = self.width.as_secs_f64();
         self.buckets
             .iter()
             .map(|b| if w > 0.0 { b.as_secs_f64() / w } else { 0.0 })
             .collect()
+    }
+
+    /// Utilisation of every bucket from time 0 through the one holding
+    /// `t` (at most `cap` buckets), with the buckets the series never
+    /// reached read as idle.
+    pub fn utilisation_through(&self, t: SimNanos) -> Vec<f64> {
+        let n = (t.as_nanos() / self.width.as_nanos() + 1).min(self.cap as u64) as usize;
+        let mut util = self.utilisation();
+        util.resize(n, 0.0);
+        util
     }
 
     /// Total recorded busy time.
@@ -84,7 +109,8 @@ pub struct ServerReport {
     pub disk_queued: SimNanos,
     /// Bytes served by the device.
     pub bytes: u64,
-    /// Busy-time series (fixed-width buckets; the last bucket absorbs any
+    /// Busy-time series (fixed-width buckets through the last one the
+    /// device was busy in; the last bucket of a full series absorbs any
     /// overflow past the configured horizon).
     pub busy_series: BusyBuckets,
 }
@@ -420,6 +446,29 @@ mod tests {
         // Repeated overflow keeps accumulating in the same bucket.
         b.record(SimNanos(2_000), SimNanos(2_100));
         assert_eq!(b.buckets[2], SimNanos(900));
+    }
+
+    #[test]
+    fn busy_buckets_grow_only_to_the_last_touched_bucket() {
+        let mut b = BusyBuckets::new(SimNanos(100), 1024);
+        assert!(b.buckets.is_empty());
+        // An empty interval touches nothing.
+        b.record(SimNanos(70), SimNanos(70));
+        assert!(b.buckets.is_empty());
+        // [50, 200) ends exactly on a boundary: buckets 0 and 1 only.
+        b.record(SimNanos(50), SimNanos(200));
+        assert_eq!(b.buckets, vec![SimNanos(50), SimNanos(100)]);
+        assert_eq!(b.total(), SimNanos(150));
+        // A run ending at t = 450 reads buckets 2..=4 as idle.
+        assert_eq!(
+            b.utilisation_through(SimNanos(450)),
+            vec![0.5, 1.0, 0.0, 0.0, 0.0]
+        );
+        // Past the cap, the series stops at `cap` buckets.
+        assert_eq!(b.utilisation_through(SimNanos(1 << 40)).len(), 1024);
+        b.record(SimNanos(1 << 40), SimNanos((1 << 40) + 7));
+        assert_eq!(b.buckets.len(), 1024);
+        assert_eq!(b.buckets[1023], SimNanos(7));
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! The request completes when its last sub-request completes; a synchronous
 //! client then issues its next request — exactly IOR's behaviour.
 //!
+//! Engine work scales with resource hops, not sub-requests: each hop is
+//! one event, and a sub-request's last hop retires it in place. Only the
+//! last one schedules the request's single `ReqDone` event. Per request
+//! that is `4 + 2·subs` events for a read and `3 + 3·subs` for a write,
+//! and each client adds one final `StartStep`.
+//!
 //! The simulator deliberately models *more* than the paper's analytical
 //! cost model (queueing, per-message latency): the model is an
 //! approximation of this system just as it is an approximation of the
@@ -32,9 +38,10 @@ use harl_simcore::{registry, Engine, OnlineStats, Phase, SimContext, SimNanos, T
 /// Everything a payload event needs to move one sub-request through the
 /// pipeline without touching the request table: the owning request, the
 /// target server, the client's node NIC, the transfer size, and the
-/// direction. Request state (`reqs`) is only consulted at fan-out and
-/// completion — the per-sub hot path runs on this 24-byte capsule, which
-/// spares two dependent cache misses per device hop at cluster scale.
+/// direction. Request state (`reqs`) is only consulted at fan-out and at
+/// a sub-request's last hop, which retires it — the hops in between run
+/// on this 24-byte capsule, which spares two dependent cache misses per
+/// device hop at cluster scale.
 #[derive(Debug, Clone, Copy)]
 struct SubRef {
     req: u32,
@@ -63,13 +70,22 @@ enum Ev {
     /// Sub-request reached the storage device queue (write path; reads
     /// arrive via [`Ev::DiskFanout`]).
     ArriveDisk(SubRef),
-    /// Storage device finished serving the sub-request.
+    /// Storage device finished serving the sub-request. A write's last
+    /// hop: its acknowledgement retires the sub-request here.
     DiskDone(SubRef),
-    /// Read payload arrived back at the client's NIC queue.
+    /// Read payload arrived back at the client's NIC queue: a read's last
+    /// hop, which retires the sub-request.
     ReturnAtClient(SubRef),
-    /// Sub-request fully complete at the client. (The sub index is not
-    /// needed for completion accounting; only the request id is.)
-    SubDone { req: u32 },
+    /// Every sub-request of the request is complete at the client.
+    ///
+    /// Only the hop that retires a request's last sub-request schedules
+    /// it, at the time that sub-request finishes. That is the request's
+    /// latest finish because finish times never decrease in the order the
+    /// last hops run: a read's come from one client NIC [`Timeline`]
+    /// acquired in pop order, and a write's are a `DiskDone` pop time
+    /// plus the network latency. So no sub-request needs a completion
+    /// event of its own.
+    ReqDone { req: u32 },
     /// Compute phase finished.
     ComputeDone { client: u32 },
     /// Flight-recorder sampling tick (only scheduled when
@@ -89,7 +105,7 @@ fn phase_of(ev: &Ev) -> Phase {
         | Ev::ArriveDisk(_)
         | Ev::DiskDone(_)
         | Ev::ReturnAtClient(_) => Phase::DeviceService,
-        Ev::StartStep { .. } | Ev::ComputeDone { .. } | Ev::SubDone { .. } => Phase::QueueDrain,
+        Ev::StartStep { .. } | Ev::ComputeDone { .. } | Ev::ReqDone { .. } => Phase::QueueDrain,
         Ev::Sample => Phase::Recorder,
     }
 }
@@ -111,10 +127,21 @@ struct ReqState {
     size: u64,
     file: FileId,
     offset: u64,
+    /// Sub-requests not yet retired by their last hop.
     pending: usize,
     issued: SimNanos,
     /// Lifecycle hops, collected only when a recorder is enabled.
     hops: Vec<SpanHop>,
+}
+
+impl ReqState {
+    /// Retire one sub-request; true when it was the request's last.
+    #[inline]
+    fn retire_sub(&mut self) -> bool {
+        debug_assert!(self.pending > 0, "sub-request retired twice");
+        self.pending -= 1;
+        self.pending == 0
+    }
 }
 
 struct ClientState {
@@ -325,7 +352,7 @@ pub fn simulate(
                 };
                 if size == 0 {
                     // Zero-byte request: completes at the MDS.
-                    sched.schedule(now, Ev::SubDone { req });
+                    sched.schedule(now, Ev::ReqDone { req });
                     return;
                 }
                 match op {
@@ -444,7 +471,9 @@ pub fn simulate(
                 match sr.op {
                     OpKind::Write => {
                         // Acknowledgement back to the client: latency only.
-                        sched.schedule(now + latency, Ev::SubDone { req: sr.req });
+                        if reqs[sr.req as usize].retire_sub() {
+                            sched.schedule(now + latency, Ev::ReqDone { req: sr.req });
+                        }
                     }
                     OpKind::Read => {
                         let service = nic_service(net.t_s_per_byte, &mut nic_memo, sr.z);
@@ -474,64 +503,59 @@ pub fn simulate(
                         end: grant.end.as_nanos(),
                     });
                 }
-                sched.schedule(grant.end, Ev::SubDone { req: sr.req });
+                if reqs[sr.req as usize].retire_sub() {
+                    sched.schedule(grant.end, Ev::ReqDone { req: sr.req });
+                }
             }
-            Ev::SubDone { req } => {
+            Ev::ReqDone { req } => {
                 let ri = req as usize;
-                let done = {
-                    let r = &mut reqs[ri];
-                    r.pending = r.pending.saturating_sub(1);
-                    r.pending == 0
-                };
-                if done {
-                    if rec_on {
-                        let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                        completed_by_op[op_index(reqs[ri].op)] += 1;
-                    }
-                    if rec_spans {
-                        let _rec = prof.map(|p| p.scope(Phase::Recorder));
-                        let hops = std::mem::take(&mut reqs[ri].hops);
-                        let r = &reqs[ri];
-                        recorder.span(SpanRecord {
-                            id: req as u64,
-                            kind: "request",
-                            labels: vec![
-                                ("client", r.client.to_string()),
-                                ("op", r.op.to_string()),
-                                ("file", r.file.to_string()),
-                                ("size", r.size.to_string()),
-                                ("offset", r.offset.to_string()),
-                            ],
-                            issued: r.issued.as_nanos(),
-                            completed: now.as_nanos(),
-                            hops,
-                        });
-                    }
+                if rec_on {
+                    let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                    completed_by_op[op_index(reqs[ri].op)] += 1;
+                }
+                if rec_spans {
+                    let _rec = prof.map(|p| p.scope(Phase::Recorder));
+                    let hops = std::mem::take(&mut reqs[ri].hops);
                     let r = &reqs[ri];
-                    let lat = (now - r.issued).as_secs_f64();
-                    match r.op {
-                        OpKind::Read => {
-                            read_latency.push(lat);
-                            bytes_read += r.size;
-                        }
-                        OpKind::Write => {
-                            write_latency.push(lat);
-                            bytes_written += r.size;
-                        }
+                    recorder.span(SpanRecord {
+                        id: req as u64,
+                        kind: "request",
+                        labels: vec![
+                            ("client", r.client.to_string()),
+                            ("op", r.op.to_string()),
+                            ("file", r.file.to_string()),
+                            ("size", r.size.to_string()),
+                            ("offset", r.offset.to_string()),
+                        ],
+                        issued: r.issued.as_nanos(),
+                        completed: now.as_nanos(),
+                        hops,
+                    });
+                }
+                let r = &reqs[ri];
+                let lat = (now - r.issued).as_secs_f64();
+                match r.op {
+                    OpKind::Read => {
+                        read_latency.push(lat);
+                        bytes_read += r.size;
                     }
-                    completed += 1;
-                    last_completion = last_completion.max(now);
-                    let client = r.client;
-                    let c = &mut clients[client];
-                    c.batch_pending -= 1;
-                    if c.batch_pending == 0 {
-                        sched.schedule(
-                            now,
-                            Ev::StartStep {
-                                client: client as u32,
-                            },
-                        );
+                    OpKind::Write => {
+                        write_latency.push(lat);
+                        bytes_written += r.size;
                     }
+                }
+                completed += 1;
+                last_completion = last_completion.max(now);
+                let client = r.client;
+                let c = &mut clients[client];
+                c.batch_pending -= 1;
+                if c.batch_pending == 0 {
+                    sched.schedule(
+                        now,
+                        Ev::StartStep {
+                            client: client as u32,
+                        },
+                    );
                 }
             }
             Ev::Sample => {
