@@ -16,8 +16,8 @@
 use crate::figures::FigureResult;
 use crate::harness::{improvement_pct, measure, PolicyOutcome, Scale};
 use harl_core::{
-    case_a_params, server_loads, CostModelParams, FixedPolicy, HarlPolicy, LayoutPolicy,
-    MultiProfileModel, MultiProfileOptimizer, OptimizerConfig, SegmentPolicy, ServerLevelPolicy,
+    case_a_params, FixedPolicy, HarlPolicy, LayoutPolicy, MultiProfileModel, MultiProfileOptimizer,
+    OptimizerConfig, SegmentPolicy, ServerLevelPolicy, ServerLoads,
 };
 use harl_devices::{nvme_2020_preset, CalibrationConfig, OpKind};
 use harl_middleware::collect_trace_lowered;
@@ -31,7 +31,7 @@ use serde_json::{json, Value};
 /// (heterogeneity-aware only), HARL (both).
 pub fn abl_region(scale: &Scale) -> FigureResult {
     let cluster = ClusterConfig::paper_default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let factor = scale.ior_file as f64 / (16.0 * 1024.0 * 1024.0 * 1024.0);
     let opt = OptimizerConfig {
         max_requests_per_eval: scale.opt_sample,
@@ -41,12 +41,12 @@ pub fn abl_region(scale: &Scale) -> FigureResult {
     let policies: Vec<Box<dyn LayoutPolicy>> = vec![
         Box::new(FixedPolicy::new(64 * 1024)),
         Box::new(SegmentPolicy {
-            model: model.clone().into(),
+            model: model.clone(),
             segment_size: 64 << 20,
             optimizer: opt.clone(),
         }),
         Box::new(ServerLevelPolicy {
-            model: model.clone().into(),
+            model: model.clone(),
             optimizer: opt.clone(),
         }),
         Box::new({
@@ -97,7 +97,7 @@ pub fn abl_region(scale: &Scale) -> FigureResult {
 /// Grid-step ablation: precision vs analysis cost of Algorithm 2.
 pub fn abl_step(scale: &Scale) -> FigureResult {
     let cluster = ClusterConfig::paper_default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let w = harl_workloads::IorConfig {
         processes: 16,
         request_size: 512 * 1024,
@@ -157,10 +157,10 @@ pub fn abl_model(scale: &Scale) -> FigureResult {
     }
     .build();
 
-    let truth = CostModelParams::from_cluster(&cluster);
+    let truth = MultiProfileModel::from_cluster(&cluster);
     let calibrated =
-        CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
-    let (o_truth, _, _) = measure(&cluster, &HarlPolicy::new(truth), &w);
+        MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let (o_truth, _, _) = measure(&cluster, &HarlPolicy::new(truth.clone()), &w);
     let (o_cal, _, _) = measure(&cluster, &HarlPolicy::new(calibrated), &w);
 
     // Case-table agreement over random (offset, size, h, s) draws.
@@ -175,7 +175,7 @@ pub fn abl_model(scale: &Scale) -> FigureResult {
         let size = rng.uniform_u64(1, 512) * 4096;
         if let Some(table) = case_a_params(offset, size, 6, h, 2, s) {
             applicable += 1;
-            if table == server_loads(offset, size, 6, h, 2, s) {
+            if table == ServerLoads::from_classes(&truth.class_loads(offset, size, &[h, s])) {
                 agree += 1;
             }
         }
@@ -414,12 +414,12 @@ pub fn abl_profiles(scale: &Scale) -> FigureResult {
     // Two-class approximation: SSD and NVMe share one width — optimise the
     // pair on a pseudo two-class model (SSD params for the fast class),
     // then apply that width to both fast classes.
-    let pair_model = CostModelParams::new(
-        4,
-        4,
+    let pair_model = MultiProfileModel::new(
         &cluster.network,
-        &cluster.classes[0].profile,
-        &cluster.classes[1].profile,
+        vec![
+            (4, cluster.classes[0].profile.clone()),
+            (4, cluster.classes[1].profile.clone()),
+        ],
     );
     let reqs = harl_core::RegionRequests::new(&sorted, 0);
     let pair = harl_core::optimize_region(

@@ -40,8 +40,8 @@
 )]
 
 use harl_core::{
-    divide_regions, size_histogram, summarize, summarize_records, CostModelParams, HarlPolicy,
-    LayoutPolicy, RegionDivisionConfig, RegionStripeTable, Trace,
+    divide_regions, size_histogram, summarize, summarize_records, CostKernel, HarlPolicy,
+    LayoutPolicy, MultiProfileModel, RegionDivisionConfig, RegionStripeTable, Trace,
 };
 use harl_devices::{CalibrationConfig, OpKind};
 use harl_middleware::{run_workload, CollectiveConfig};
@@ -250,7 +250,7 @@ fn cmd_plan(opts: &Opts) {
     let trace = load_trace(path);
     let file_size = opts.file_size.unwrap_or_else(|| trace.extent().max(1));
     let cluster = cli_cluster(opts);
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let mut policy = HarlPolicy::new(model);
     if let Some(rs) = opts.region_size {
         policy.division.fixed_region_size = rs;
@@ -302,7 +302,7 @@ fn cmd_inspect(opts: &Opts) {
 /// request spans: each span carries its region file, in-region offset,
 /// size and op, so the Sec. III-D model can be replayed against the
 /// observed end-to-end latency (the model-drift signal of Eqs. 1–8).
-fn record_residuals(recorder: &MemoryRecorder, model: &CostModelParams, rst: &RegionStripeTable) {
+fn record_residuals(recorder: &MemoryRecorder, kernel: &CostKernel, rst: &RegionStripeTable) {
     let label_of = |span: &harl_simcore::SpanRecord, key: &str| {
         span.labels
             .iter()
@@ -328,7 +328,7 @@ fn record_residuals(recorder: &MemoryRecorder, model: &CostModelParams, rst: &Re
         } else {
             OpKind::Read
         };
-        let predicted = model.request_cost(offset, size, op, entry.h(), entry.s());
+        let predicted = kernel.request_cost(offset, size, op, entry.widths());
         let actual = span.latency_ns() as f64 / 1e9;
         let residual = actual - predicted;
         let labels = [("region", region.to_string())];
@@ -374,8 +374,8 @@ fn cmd_simulate(opts: &Opts) {
     );
     if recording {
         let model =
-            CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
-        record_residuals(&memory, &model, &rst);
+            MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+        record_residuals(&memory, &CostKernel::new(&model), &rst);
     }
     if let Some(path) = &opts.metrics_out {
         let file = std::fs::File::create(path).unwrap_or_else(|e| {

@@ -1,7 +1,7 @@
 //! Shared experiment plumbing: scales, policy sets, measurement, tables.
 
 use harl_core::{
-    CostModelParams, FixedPolicy, HarlPolicy, LayoutPolicy, OptimizerConfig, RandomPolicy,
+    FixedPolicy, HarlPolicy, LayoutPolicy, MultiProfileModel, OptimizerConfig, RandomPolicy,
     RegionStripeTable,
 };
 use harl_devices::CalibrationConfig;
@@ -110,7 +110,7 @@ pub fn paper_policies(cluster: &ClusterConfig, scale: &Scale) -> Vec<Box<dyn Lay
 
 /// HARL with the calibrated model for `cluster` at the given scale.
 pub fn harl_policy(cluster: &ClusterConfig, scale: &Scale) -> HarlPolicy {
-    let model = CostModelParams::from_cluster_calibrated(cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(cluster, &CalibrationConfig::default());
     let mut policy = HarlPolicy::new(model);
     policy.optimizer = OptimizerConfig {
         max_requests_per_eval: scale.opt_sample,

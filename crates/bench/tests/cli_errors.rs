@@ -147,3 +147,69 @@ fn rst_row_past_u64_exits_1() {
     assert!(stderr.contains("overflows u64"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fixed_stripe_whose_group_overflows_exits_1() {
+    // 8 servers × 2^62 bytes wraps the stripe group to 0.
+    let dir = inputs("fixed-overflow", "{}");
+    let smoke = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/smoke.json"),
+    )
+    .expect("read the smoke scenario");
+    let scenario = smoke.replace(
+        r#""policy": "Harl""#,
+        r#""policy": {"Fixed": 4611686018427387904}"#,
+    );
+    assert_ne!(scenario, smoke, "the smoke scenario names its policy");
+    let path = dir.join("scenario.json");
+    std::fs::write(&path, scenario).expect("write the scenario");
+    let stderr = expect_exit(&["run", "--scenario", path.to_str().unwrap()], 1);
+    assert!(stderr.contains("overflows u64"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn plan_for_huge_requests_keeps_groups_in_u64() {
+    // One 2^62-byte read: R̄ is so large that most grid pairs' group
+    // 6h + 2s would pass u64::MAX.
+    let dir = inputs("plan-huge", "{}");
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"rank\":0,\"fd\":0,\"op\":\"Read\",\"offset\":0,\"size\":4611686018427387904,\"timestamp\":0}\n",
+    )
+    .expect("write the trace");
+    let rst = dir.join("rst.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_harl-cli"))
+        .args([
+            "plan",
+            trace.to_str().unwrap(),
+            "--out",
+            rst.to_str().unwrap(),
+        ])
+        .output()
+        .expect("harl-cli starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let table = harl_core::RegionStripeTable::load_from_path(&rst).expect("load the plan");
+    let cluster = harl_pfs::ClusterConfig::paper_default();
+    for (i, e) in table.entries().iter().enumerate() {
+        let layout = harl_pfs::FileLayout::try_for_classes(&cluster, e.widths());
+        assert!(layout.is_ok(), "row {i} {:?}: {layout:?}", e.widths());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rst_row_whose_group_overflows_exits_1() {
+    // 6h + 2s is about 1.9·10^19 bytes: past u64::MAX, so the group wraps.
+    let dir = inputs(
+        "group-overflow",
+        r#"{"entries": [{"offset": 0, "len": 4611686018427387904,
+            "h": 2341871806232657920, "s": 2485986994308513792}]}"#,
+    );
+    let stderr = simulate(&dir, &[], 1);
+    assert!(stderr.contains("row 0"), "{stderr}");
+    assert!(stderr.contains("overflows u64"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,7 @@
 //! beside its own per-layer work counts.
 
 use harl_core::{
-    divide_regions, optimize_region, CostModelParams, HarlPolicy, LayoutPolicy, OnlineConfig,
+    divide_regions, optimize_region, HarlPolicy, LayoutPolicy, MultiProfileModel, OnlineConfig,
     OnlineMonitor, OptimizerConfig, RegionRequests, RegionStripeTable, RstEntry, Trace,
     TraceRecord,
 };
@@ -24,8 +24,8 @@ use std::sync::Arc;
 const KB: u64 = 1024;
 
 /// The paper platform model every planning count is taken on.
-fn paper_model() -> CostModelParams {
-    CostModelParams::from_cluster(&ClusterConfig::paper_default())
+fn paper_model() -> MultiProfileModel {
+    MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
 }
 
 fn read(offset: u64, size: u64) -> TraceRecord {

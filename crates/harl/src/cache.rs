@@ -498,7 +498,6 @@ impl RegionPlanCache {
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint_sorted;
-    use crate::model::CostModelParams;
     use crate::policy::{HarlPolicy, LayoutPolicy};
     use crate::trace::Trace;
     use harl_pfs::ClusterConfig;
@@ -508,7 +507,7 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     fn model() -> MultiProfileModel {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default()).into()
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn multi_phase_trace() -> (Trace, u64) {

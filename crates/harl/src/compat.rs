@@ -1,17 +1,12 @@
-//! Legacy two-tier `(h, s)` surface — the designated compat module.
+//! The paper's two-tier `(h, s)` vocabulary for stripe tables.
 //!
-//! The paper's vocabulary is a stripe *pair*: `h` on HServers, `s` on
-//! SServers. The canonical representation is now per-class widths
-//! (`widths[0] = h`, `widths[1] = s` at `K = 2`), and every pair-shaped
-//! API lives here so harl-lint's `two-tier-hygiene` rule can forbid the
-//! shape everywhere else. Results are bit-identical to the widths form:
-//! the pair cost bodies are the original Eqs. 7/8 arithmetic, kept
-//! verbatim (and allocation-free) for the grid search's inner loop.
+//! The canonical representation is per-class widths (`widths[0] = h`,
+//! `widths[1] = s` at `K = 2`), and every request is priced through
+//! [`crate::model::CostKernel`]. What remains here is the two-tier
+//! shorthand for RST rows — the `{offset, len, h, s}` JSON shape and the
+//! `h()`/`s()` accessors the paper's figures read.
 
-use crate::model::{server_loads, CostModelParams, ServerLoads, StartupTable};
-use crate::optimizer::RegionRequests;
 use crate::rst::{RegionStripeTable, RstEntry};
-use harl_devices::OpKind;
 
 impl RstEntry {
     /// A two-tier row: `h` on the HServer class, `s` on the SServer class.
@@ -39,115 +34,9 @@ impl RegionStripeTable {
     }
 }
 
-impl CostModelParams {
-    /// Cost (seconds) of one request at region-relative `offset` of `size`
-    /// bytes under layout `(h, s)` — the paper's Eq. 7 (reads) / Eq. 8
-    /// (writes); equal to the widths form on `&[h, s]`.
-    ///
-    /// Either stripe may be zero (that class holds no data); both zero
-    /// panics. Zero-size requests cost nothing.
-    pub fn request_cost(&self, offset: u64, size: u64, op: OpKind, h: u64, s: u64) -> f64 {
-        if size == 0 {
-            return 0.0;
-        }
-        let ServerLoads { s_m, m, s_n, n } = server_loads(offset, size, self.m(), h, self.n(), s);
-        let hp = self.h_params(op);
-        let sp = self.s_params(op);
-
-        // Eq. 1: network transfer — the slowest sub-request on the wire.
-        let t_x = (s_m.max(s_n)) as f64 * self.inner.t_s_per_byte;
-        // Eq. 5: startup — the slower of the two classes' expected maxima.
-        let t_s = Self::startup_k(hp, m).max(Self::startup_k(sp, n));
-        // Eq. 6: storage transfer — the slowest sub-request on a device.
-        let t_t = (s_m as f64 * hp.beta_s_per_byte).max(s_n as f64 * sp.beta_s_per_byte);
-
-        t_x + t_s + t_t
-    }
-
-    /// [`Self::request_cost`] with the startup term served from a
-    /// precomputed [`StartupTable`] — bit-identical results (the table
-    /// holds exactly the values Eq. 5 produces), built for the optimizer's
-    /// inner loop.
-    pub fn request_cost_with(
-        &self,
-        table: &StartupTable,
-        offset: u64,
-        size: u64,
-        op: OpKind,
-        h: u64,
-        s: u64,
-    ) -> f64 {
-        if size == 0 {
-            return 0.0;
-        }
-        let ServerLoads { s_m, m, s_n, n } = server_loads(offset, size, self.m(), h, self.n(), s);
-        let hp = self.h_params(op);
-        let sp = self.s_params(op);
-        let t_x = (s_m.max(s_n)) as f64 * self.inner.t_s_per_byte;
-        let t_s = match op {
-            OpKind::Read => table.read[m * table.stride + n],
-            OpKind::Write => table.write[m * table.stride + n],
-        };
-        let t_t = (s_m as f64 * hp.beta_s_per_byte).max(s_n as f64 * sp.beta_s_per_byte);
-        t_x + t_s + t_t
-    }
-}
-
-impl RegionRequests<'_> {
-    /// Model cost of this region under a given `(h, s)` pair, summed over
-    /// the (sampled) requests — exposed for baseline policies that search a
-    /// restricted candidate set.
-    pub fn cost_of(&self, model: &CostModelParams, h: u64, s: u64, cap: usize) -> f64 {
-        crate::fold::sum_f64(
-            self.sample(cap)
-                .iter()
-                .map(|&(o, r, op)| model.request_cost(o, r, op, h, s)),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // Exact comparisons on purpose: pair and widths forms must agree to
-    // the last bit or the K = 2 dispatch would not be a refactor.
-    #![allow(clippy::float_cmp)]
-
     use super::*;
-    use harl_pfs::ClusterConfig;
-
-    const KB: u64 = 1024;
-
-    #[test]
-    fn pair_cost_is_bitwise_equal_to_widths_cost() {
-        let pair = CostModelParams::from_cluster(&ClusterConfig::paper_default());
-        for (o, r) in [
-            (0u64, 512 * KB),
-            (123 * KB, 512 * KB),
-            (7, 130_000),
-            (5 * KB, 3),
-        ] {
-            for op in OpKind::ALL {
-                for (h, s) in [(32 * KB, 160 * KB), (0, 64 * KB), (64 * KB, 0)] {
-                    let a = pair.request_cost(o, r, op, h, s);
-                    let b = pair.inner.request_cost(o, r, op, &[h, s]);
-                    assert_eq!(a, b, "pair vs widths at ({o},{r},{op},{h},{s})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn startup_table_path_is_bitwise_equal() {
-        let pair = CostModelParams::from_cluster(&ClusterConfig::paper_default());
-        let table = pair.startup_table();
-        for (o, r) in [(0u64, 512 * KB), (123 * KB, 512 * KB), (7, 130_000)] {
-            for op in OpKind::ALL {
-                let a = pair.request_cost(o, r, op, 32 * KB, 160 * KB);
-                let b = pair.request_cost_with(&table, o, r, op, 32 * KB, 160 * KB);
-                assert_eq!(a, b);
-            }
-        }
-    }
 
     #[test]
     fn two_tier_entry_accessors() {

@@ -232,7 +232,6 @@ impl WorkloadFingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostModelParams;
     use harl_pfs::ClusterConfig;
     use harl_simcore::SimNanos;
 
@@ -240,7 +239,7 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     fn model() -> MultiProfileModel {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default()).into()
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn rec(offset: u64, size: u64, op: OpKind) -> TraceRecord {

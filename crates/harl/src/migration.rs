@@ -13,8 +13,13 @@
 //! SServer share fits) — regions are picked in order of smallest predicted
 //! cost increase per byte reclaimed, which is a migration plan in the
 //! "move data from SServers to HServers" sense.
+//!
+//! The balancer is two-tier by design: it takes a `K = 2`
+//! [`MultiProfileModel`] (class 0 the HServers, class 1 the SServers) and
+//! rejects any other class count.
 
-use crate::model::CostModelParams;
+use crate::model::CostKernel;
+use crate::multiprofile::MultiProfileModel;
 use crate::optimizer::{OptimizerConfig, RegionRequests};
 use crate::rst::{RegionStripeTable, RstEntry};
 use crate::trace::TraceRecord;
@@ -54,19 +59,37 @@ fn sserver_fraction(m: usize, h: u64, n: usize, s: u64) -> f64 {
     (n as u64 * s) as f64 / total as f64
 }
 
+/// The `(M, N)` HServer and SServer counts of a two-tier model.
+///
+/// # Panics
+/// Panics unless the model has exactly two classes.
+fn tiers(model: &MultiProfileModel) -> (usize, usize) {
+    assert_eq!(
+        model.class_count(),
+        2,
+        "space balancing needs a two-class (HServer, SServer) model"
+    );
+    (model.classes[0].count, model.classes[1].count)
+}
+
 /// Projected SServer bytes of a whole RST.
-pub fn projected_sserver_bytes(model: &CostModelParams, rst: &RegionStripeTable) -> u64 {
+///
+/// # Panics
+/// Panics unless `model` has exactly two classes.
+pub fn projected_sserver_bytes(model: &MultiProfileModel, rst: &RegionStripeTable) -> u64 {
+    let (m, n) = tiers(model);
     rst.entries()
         .iter()
-        .map(|e| (e.len as f64 * sserver_fraction(model.m(), e.h(), model.n(), e.s())) as u64)
+        .map(|e| (e.len as f64 * sserver_fraction(m, e.h(), n, e.s())) as u64)
         .sum()
 }
 
 /// The space balancer.
 #[derive(Debug, Clone)]
 pub struct SpaceBalancer {
-    /// Platform model used for re-planning.
-    pub model: CostModelParams,
+    /// Platform model used for re-planning; two classes (HServers, then
+    /// SServers).
+    pub model: MultiProfileModel,
     /// Total bytes the SServer pool may hold for this file.
     pub sserver_capacity: u64,
     /// Optimizer settings for the constrained re-plan.
@@ -80,21 +103,24 @@ impl SpaceBalancer {
     /// `(R̄, 0)` extreme).
     fn constrained_choice(
         &self,
+        kernel: &CostKernel,
         requests: &RegionRequests<'_>,
         avg: u64,
         max_frac: f64,
     ) -> Option<ConstrainedChoice> {
+        let (m, n) = tiers(&self.model);
         let step = self.optimizer.effective_step(avg.max(1));
         let r_bar = avg.max(step).div_ceil(step) * step;
         let mut best: Option<ConstrainedChoice> = None;
         let mut consider = |h: u64, s: u64| {
-            if self.model.m() as u64 * h + self.model.n() as u64 * s == 0 {
+            if m as u64 * h + n as u64 * s == 0 {
                 return;
             }
-            if sserver_fraction(self.model.m(), h, self.model.n(), s) > max_frac + 1e-12 {
+            if sserver_fraction(m, h, n, s) > max_frac + 1e-12 {
                 return;
             }
-            let cost = requests.cost_of(&self.model, h, s, self.optimizer.max_requests_per_eval);
+            let cost =
+                requests.cost_of_widths(kernel, &[h, s], self.optimizer.max_requests_per_eval);
             let cand = ConstrainedChoice { h, s, cost };
             best = Some(match best.take() {
                 None => cand,
@@ -111,14 +137,14 @@ impl SpaceBalancer {
         while h <= r_bar {
             let mut s = h + step;
             while s <= r_bar + step {
-                if self.model.n() > 0 {
+                if n > 0 {
                     consider(h, s);
                 }
                 s += step;
             }
             h += step;
         }
-        if self.model.m() > 0 {
+        if m > 0 {
             consider(r_bar, 0);
         }
         best
@@ -129,7 +155,12 @@ impl SpaceBalancer {
     /// `sorted` is the offset-sorted trace the plan was built from (used to
     /// re-cost regions). Regions are re-planned greedily in order of least
     /// cost-increase per SServer byte reclaimed until the budget holds.
+    ///
+    /// # Panics
+    /// Panics unless the model has exactly two classes: a third class
+    /// would be neither moved from nor moved to.
     pub fn balance(&self, rst: &RegionStripeTable, sorted: &[TraceRecord]) -> BalanceOutcome {
+        let (m, n) = tiers(&self.model);
         let before = projected_sserver_bytes(&self.model, rst);
         if before <= self.sserver_capacity {
             return BalanceOutcome {
@@ -149,6 +180,7 @@ impl SpaceBalancer {
         let mut old_cost_total = crate::fold::OrderedSum::new();
         let mut new_cost_total = crate::fold::OrderedSum::new();
         let mut current = before;
+        let kernel = CostKernel::new(&self.model);
 
         // Precompute per-region request slices.
         let slices: Vec<(usize, usize)> = entries
@@ -168,7 +200,7 @@ impl SpaceBalancer {
                 if adjusted[i] {
                     continue;
                 }
-                let cur_frac = sserver_fraction(self.model.m(), e.h(), self.model.n(), e.s());
+                let cur_frac = sserver_fraction(m, e.h(), n, e.s());
                 if cur_frac == 0.0 {
                     continue;
                 }
@@ -179,16 +211,16 @@ impl SpaceBalancer {
                 } else {
                     e.h().max(e.s())
                 };
-                let old_cost = reqs.cost_of(
-                    &self.model,
-                    e.h(),
-                    e.s(),
+                let old_cost = reqs.cost_of_widths(
+                    &kernel,
+                    &[e.h(), e.s()],
                     self.optimizer.max_requests_per_eval,
                 );
-                let Some(plan) = self.constrained_choice(&reqs, avg, cur_frac / 2.0) else {
+                let Some(plan) = self.constrained_choice(&kernel, &reqs, avg, cur_frac / 2.0)
+                else {
                     continue;
                 };
-                let new_frac = sserver_fraction(self.model.m(), plan.h, self.model.n(), plan.s);
+                let new_frac = sserver_fraction(m, plan.h, n, plan.s);
                 let reclaimed = ((cur_frac - new_frac).max(0.0) * e.len as f64) as u64;
                 if reclaimed == 0 {
                     continue;
@@ -239,8 +271,8 @@ mod tests {
     const KB: u64 = 1024;
     const MB: u64 = 1024 * 1024;
 
-    fn model() -> CostModelParams {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn trace(n: u64, size: u64) -> Vec<TraceRecord> {
@@ -368,5 +400,28 @@ mod tests {
         };
         let out = balancer.balance(&rst, &trace(16, 512 * KB));
         assert!(out.sserver_bytes_after <= out.sserver_bytes_before);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-class")]
+    fn three_class_model_rejected() {
+        let cluster =
+            ClusterConfig::hybrid(4, 2).with_extra_class(2, harl_devices::nvme_2020_preset());
+        let balancer = SpaceBalancer {
+            model: MultiProfileModel::from_cluster(&cluster),
+            sserver_capacity: 0,
+            optimizer: OptimizerConfig::default(),
+        };
+        let rst = RegionStripeTable::uniform(64 * MB, vec![32 * KB, 160 * KB, 256 * KB]);
+        balancer.balance(&rst, &trace(16, 512 * KB));
+    }
+
+    #[test]
+    #[should_panic(expected = "two-class")]
+    fn three_class_projection_rejected() {
+        let cluster =
+            ClusterConfig::hybrid(4, 2).with_extra_class(2, harl_devices::nvme_2020_preset());
+        let rst = RegionStripeTable::uniform(64 * MB, vec![32 * KB, 160 * KB, 256 * KB]);
+        projected_sserver_bytes(&MultiProfileModel::from_cluster(&cluster), &rst);
     }
 }

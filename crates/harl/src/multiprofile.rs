@@ -5,26 +5,29 @@
 //! The two-class cost structure of Sec. III-D generalises directly: a
 //! request's cost is still `T_X + T_S + T_T`, with each term the maximum
 //! over the K classes of the class's network/startup/transfer component.
-//! What does not generalise is Algorithm 2's 2-D grid — K nested loops are
-//! exponential — so the [`MultiProfileOptimizer`] uses coordinate descent:
-//! optimise one class's stripe width at a time (a 1-D scan identical in
-//! spirit to the paper's loops) and iterate to a fixed point. On two-class
-//! inputs it recovers the same optima as the exhaustive grid (see the
-//! tests), and the fixed point is deterministic.
+//! [`MultiProfileModel`] holds the per-class parameters for any `K` (the
+//! paper's `(h, s)` model is `K = 2`), and [`crate::model::CostKernel`],
+//! built from it, prices every request. What does not generalise is
+//! Algorithm 2's 2-D grid — K nested loops are exponential — so the
+//! [`MultiProfileOptimizer`] uses coordinate descent: optimise one class's
+//! stripe width at a time (a 1-D scan identical in spirit to the paper's
+//! loops) and iterate to a fixed point. On two-class inputs it recovers
+//! the same optima as the exhaustive grid (see the tests), and the fixed
+//! point is deterministic.
 //!
 //! Scoring a width vector is the descent's hot path. Each `optimize` call
-//! decomposes the sample once into the grid's strided runs, prices one
-//! request per distinct residue of each run and replays those costs in
-//! sample order, stops a vector once its running sum exceeds the axis
-//! incumbent, and remembers every vector it has scored — the starts
-//! revisit many of them. The result is the same left fold a
-//! per-request sum computes, so widths and cost bits are exactly those of
-//! the unfolded descent (a test oracle pins this).
+//! builds the kernel once and decomposes the sample once into the grid's
+//! strided runs, prices one request per distinct residue of each run and
+//! replays those costs in sample order, stops a vector once its running
+//! sum exceeds the axis incumbent, and remembers every vector it has
+//! scored — the starts revisit many of them. The result is the same left
+//! fold a per-request sum computes, so widths and cost bits are exactly
+//! those of the unfolded descent (a test oracle pins this).
 
 use crate::fold::OrderedSum;
-use crate::model::CostModelParams;
+use crate::model::CostKernel;
 use crate::optimizer::{effective_step, gcd, strided_runs, StridedRun};
-use harl_devices::{NetworkProfile, OpKind, OpParams, StorageProfile};
+use harl_devices::{CalibrationConfig, NetworkProfile, OpKind, OpParams, StorageProfile};
 use harl_pfs::ClusterConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -81,14 +84,28 @@ impl MultiProfileModel {
         }
     }
 
+    /// Build from a cluster with *measured* (calibrated) device and
+    /// network parameters — the paper's Analysis Phase: every class and
+    /// the network are probed through the simulated devices.
+    pub fn from_cluster_calibrated(cluster: &ClusterConfig, cfg: &CalibrationConfig) -> Self {
+        MultiProfileModel::new(
+            &harl_devices::calibrate_network(&cluster.network, cfg),
+            cluster
+                .classes
+                .iter()
+                .map(|c| (c.count, harl_devices::calibrate_storage(&c.profile, cfg)))
+                .collect(),
+        )
+    }
+
     /// Number of classes.
     pub fn class_count(&self) -> usize {
         self.classes.len()
     }
 
     /// Per-class `(max_load, servers_touched)` for a request under
-    /// per-class widths (exact round-robin geometry, as in the two-class
-    /// [`crate::server_loads`]).
+    /// per-class widths — the exact round-robin geometry of
+    /// `model::class_span_loads`, one class at a time.
     pub fn class_loads(&self, offset: u64, size: u64, widths: &[u64]) -> Vec<(u64, usize)> {
         assert_eq!(widths.len(), self.classes.len(), "one width per class");
         let group: u64 = self
@@ -113,72 +130,6 @@ impl MultiProfileModel {
             base += c.count as u64 * w;
         }
         out
-    }
-
-    /// Cost of one request under per-class widths (the generalised
-    /// Eqs. 7/8). Allocation-free: this is the per-request hot path of the
-    /// online monitor and the coordinate-descent inner loop, so the class
-    /// loads are folded into the three cost terms as they are computed
-    /// rather than materialised (the summation order matches
-    /// [`Self::class_loads`] exactly).
-    pub fn request_cost(&self, offset: u64, size: u64, op: OpKind, widths: &[u64]) -> f64 {
-        if size == 0 {
-            return 0.0;
-        }
-        assert_eq!(widths.len(), self.classes.len(), "one width per class");
-        let group: u64 = self
-            .classes
-            .iter()
-            .zip(widths)
-            .map(|(c, &w)| c.count as u64 * w)
-            .sum();
-        assert!(group > 0, "layout has no capacity");
-        let end = offset + size;
-        let dq = end / group - offset / group;
-        let (r_o, r_e) = (offset % group, end % group);
-        let mut t_x: f64 = 0.0;
-        let mut t_s: f64 = 0.0;
-        let mut t_t: f64 = 0.0;
-        let mut base = 0u64;
-        for (c, &w) in self.classes.iter().zip(widths) {
-            let (load, touched) = crate::model::class_span_loads(dq, r_o, r_e, base, w, c.count);
-            base += c.count as u64 * w;
-            let p = match op {
-                OpKind::Read => &c.read,
-                OpKind::Write => &c.write,
-            };
-            t_x = t_x.max(load as f64 * self.t_s_per_byte);
-            if touched > 0 {
-                let k = touched as f64;
-                t_s = t_s.max(p.alpha_min_s + k / (k + 1.0) * (p.alpha_max_s - p.alpha_min_s));
-            }
-            t_t = t_t.max(load as f64 * p.beta_s_per_byte);
-        }
-        t_x + t_s + t_t
-    }
-}
-
-impl From<&CostModelParams> for MultiProfileModel {
-    /// The two-class model as a K = 2 instance.
-    fn from(p: &CostModelParams) -> Self {
-        p.inner.clone()
-    }
-}
-
-impl From<CostModelParams> for MultiProfileModel {
-    /// Unwrap the two-class view (no copy).
-    fn from(p: CostModelParams) -> Self {
-        p.inner
-    }
-}
-
-impl From<MultiProfileModel> for CostModelParams {
-    /// The two-class view of a `K = 2` model.
-    ///
-    /// # Panics
-    /// Panics unless the model has exactly two classes.
-    fn from(m: MultiProfileModel) -> Self {
-        CostModelParams::from_multi(m)
     }
 }
 
@@ -394,8 +345,8 @@ enum Known {
 /// the offset only through `offset mod G`, so each run prices one request
 /// per distinct residue and replays those costs in order; per-request
 /// costs are non-negative, so the fold stops once it passes the bound.
-struct Scorer<'a> {
-    model: &'a MultiProfileModel,
+struct Scorer {
+    kernel: CostKernel,
     runs: Vec<StridedRun>,
     /// One run's residue costs; reused across runs and vectors.
     costs: Vec<f64>,
@@ -405,10 +356,10 @@ struct Scorer<'a> {
     scored: u64,
 }
 
-impl<'a> Scorer<'a> {
-    fn new(model: &'a MultiProfileModel, sample: &[(u64, u64, OpKind)]) -> Self {
+impl Scorer {
+    fn new(model: &MultiProfileModel, sample: &[(u64, u64, OpKind)]) -> Self {
         Scorer {
-            model,
+            kernel: CostKernel::new(model),
             runs: strided_runs(sample),
             costs: Vec::new(),
             memo: HashMap::new(),
@@ -434,13 +385,7 @@ impl<'a> Scorer<'a> {
 
     /// The ordered fold over the sample, stopping once it passes `bound`.
     fn fold(&mut self, widths: &[u64], bound: f64) -> Known {
-        let group: u64 = self
-            .model
-            .classes
-            .iter()
-            .zip(widths)
-            .map(|(c, &w)| c.count as u64 * w)
-            .sum();
+        let group = self.kernel.group(widths);
         let mut sum = OrderedSum::new();
         for run in &self.runs {
             // The residues of `o0 + j·d` cycle with period G / gcd(d, G).
@@ -449,8 +394,10 @@ impl<'a> Scorer<'a> {
             self.costs.clear();
             let mut r = run.o0 % group;
             for _ in 0..period.min(run.count as u64) {
-                self.costs
-                    .push(self.model.request_cost(r, run.size, run.op, widths));
+                self.costs.push(
+                    self.kernel
+                        .cost_in_group(group, r, run.size, run.op, widths),
+                );
                 r += d;
                 if r >= group {
                     r -= group;
@@ -486,13 +433,14 @@ mod tests {
         sample: &[(u64, u64, OpKind)],
         avg: u64,
     ) -> (Vec<u64>, f64, u64) {
+        let kernel = CostKernel::new(&opt.model);
         let mut scored = 0;
         let (widths, cost) = opt.search(sample, avg, |widths, _| {
             scored += 1;
             crate::fold::sum_f64(
                 sample
                     .iter()
-                    .map(|&(o, r, op)| opt.model.request_cost(o, r, op, widths)),
+                    .map(|&(o, r, op)| kernel.request_cost(o, r, op, widths)),
             )
         });
         (widths, cost, scored)
@@ -586,27 +534,12 @@ mod tests {
     }
 
     fn two_class_model() -> MultiProfileModel {
-        MultiProfileModel::from(&CostModelParams::from_cluster(
-            &ClusterConfig::paper_default(),
-        ))
-    }
-
-    #[test]
-    fn two_class_cost_matches_pair_model() {
-        let pair = CostModelParams::from_cluster(&ClusterConfig::paper_default());
-        let multi = MultiProfileModel::from(&pair);
-        for (o, r) in [(0u64, 512 * KB), (123 * KB, 512 * KB), (7, 130_000)] {
-            for op in OpKind::ALL {
-                let a = pair.request_cost(o, r, op, 32 * KB, 160 * KB);
-                let b = multi.request_cost(o, r, op, &[32 * KB, 160 * KB]);
-                assert!((a - b).abs() < 1e-15, "cost mismatch at ({o},{r},{op})");
-            }
-        }
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     #[test]
     fn coordinate_descent_matches_grid_on_two_classes() {
-        let pair = CostModelParams::from_cluster(&ClusterConfig::paper_default());
+        let model = two_class_model();
         let records: Vec<TraceRecord> = (0..32)
             .map(|i| TraceRecord {
                 rank: 0,
@@ -619,7 +552,7 @@ mod tests {
             .collect();
         let grid = optimize_region(
             &harl_simcore::SimContext::new(),
-            &pair,
+            &model,
             &RegionRequests::new(&records, 0),
             512 * KB,
             &OptimizerConfig {
@@ -628,7 +561,7 @@ mod tests {
             },
             0,
         );
-        let opt = MultiProfileOptimizer::new(MultiProfileModel::from(&pair));
+        let opt = MultiProfileOptimizer::new(model);
         let (widths, cost) = opt.optimize(&sample(32, 512 * KB, OpKind::Read), 512 * KB);
         // Coordinate descent can stop at a local optimum; it must get
         // within a few percent of the exhaustive grid and produce the same

@@ -15,6 +15,7 @@
 //! amortises it.
 
 use crate::cache::RegionPlanCache;
+use crate::model::CostKernel;
 use crate::multiprofile::MultiProfileModel;
 use crate::optimizer::{LayoutChoice, OptimizerConfig, RegionRequests};
 use crate::rst::RegionStripeTable;
@@ -117,6 +118,8 @@ impl RegionState {
 /// is confirmed.
 pub struct OnlineMonitor {
     model: MultiProfileModel,
+    /// `model`'s cost kernel, for predictions and re-plan savings.
+    kernel: CostKernel,
     rst: RegionStripeTable,
     /// The per-region average request size the current plan assumed.
     planned_avg: Vec<u64>,
@@ -150,12 +153,11 @@ impl OnlineMonitor {
     /// optimised for (from Algorithm 1's `A_reg`); if unknown, pass the
     /// observed averages of the original trace.
     pub fn new(
-        model: impl Into<MultiProfileModel>,
+        model: MultiProfileModel,
         rst: RegionStripeTable,
         planned_avg: Vec<u64>,
         cfg: OnlineConfig,
     ) -> Self {
-        let model = model.into();
         assert_eq!(
             planned_avg.len(),
             rst.len(),
@@ -165,6 +167,7 @@ impl OnlineMonitor {
         assert!(cfg.drift_ratio > 1.0, "drift ratio must exceed 1.0");
         let regions = (0..rst.len()).map(|_| RegionState::default()).collect();
         OnlineMonitor {
+            kernel: CostKernel::new(&model),
             model,
             rst,
             planned_avg,
@@ -237,7 +240,7 @@ impl OnlineMonitor {
         let region = self.rst.region_of(rec.offset);
         let predicted = {
             let entry = &self.rst.entries()[region];
-            self.model.request_cost(
+            self.kernel.request_cost(
                 rec.offset.saturating_sub(entry.offset),
                 rec.size,
                 rec.op,
@@ -367,7 +370,7 @@ impl OnlineMonitor {
             threads: if outer > 1 { 1 } else { budget },
             ..self.cfg.optimizer.clone()
         };
-        let model = &self.model;
+        let (model, kernel) = (&self.model, &self.kernel);
         let ctx = &self.ctx;
         let outcomes = crate::optimizer::fan_out(jobs.len(), outer, |i| {
             let job = &jobs[i];
@@ -385,8 +388,8 @@ impl OnlineMonitor {
             };
             // Predicted per-request saving under the new widths.
             let old_cost =
-                reqs.cost_of_widths(model, job.entry.widths(), inner.max_requests_per_eval);
-            let new_cost = reqs.cost_of_widths(model, &choice.widths, inner.max_requests_per_eval);
+                reqs.cost_of_widths(kernel, job.entry.widths(), inner.max_requests_per_eval);
+            let new_cost = reqs.cost_of_widths(kernel, &choice.widths, inner.max_requests_per_eval);
             (choice, old_cost, new_cost)
         });
 
@@ -442,8 +445,8 @@ mod tests {
 
     const KB: u64 = 1024;
 
-    fn model() -> crate::model::CostModelParams {
-        crate::model::CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn monitor(planned_size: u64) -> OnlineMonitor {
@@ -718,7 +721,7 @@ mod tests {
         // Same suboptimal-layout setup, but served latency equals the
         // prediction exactly: without model error there is no drift signal,
         // so the monitor must stay quiet.
-        let reference = model();
+        let reference = CostKernel::new(&model());
         let rst = RegionStripeTable::single(1 << 30, 32 * KB, 160 * KB);
         let mut m = OnlineMonitor::new(
             model(),
@@ -733,7 +736,7 @@ mod tests {
         for i in 0..256u64 {
             let offset = (i * 128 * KB) % (1 << 30);
             let predicted =
-                reference.request_cost(offset, 128 * KB, OpKind::Read, 32 * KB, 160 * KB);
+                reference.request_cost(offset, 128 * KB, OpKind::Read, &[32 * KB, 160 * KB]);
             let events = m.observe_served(rec(offset, 128 * KB), predicted);
             assert!(events.is_empty(), "accurate predictions must not drift");
         }

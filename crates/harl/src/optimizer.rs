@@ -58,7 +58,7 @@
 //! [`crate::multiprofile`] and DESIGN.md Appendix B).
 
 use crate::cast::{u64_to_usize, usize_to_u64};
-use crate::model::CostModelParams;
+use crate::model::CostKernel;
 use crate::multiprofile::{MultiProfileModel, MultiProfileOptimizer};
 use crate::trace::TraceRecord;
 use harl_simcore::{registry, SimContext};
@@ -168,13 +168,12 @@ impl<'a> RegionRequests<'a> {
 
     /// Model cost of this region under per-class widths, summed over the
     /// (sampled) requests — exposed for baseline policies that search a
-    /// restricted candidate set. (The two-tier pair form `cost_of` lives
-    /// in `crate::compat`.)
-    pub fn cost_of_widths(&self, model: &MultiProfileModel, widths: &[u64], cap: usize) -> f64 {
+    /// restricted candidate set.
+    pub fn cost_of_widths(&self, kernel: &CostKernel, widths: &[u64], cap: usize) -> f64 {
         crate::fold::sum_f64(
             self.sample(cap)
                 .iter()
-                .map(|&(o, r, op)| model.request_cost(o, r, op, widths)),
+                .map(|&(o, r, op)| kernel.request_cost(o, r, op, widths)),
         )
     }
 
@@ -191,7 +190,8 @@ impl<'a> RegionRequests<'a> {
 }
 
 /// Candidate `(h, s)` pairs for a given `R̄`, per Algorithm 2's loops plus
-/// the two extremes.
+/// the two extremes, keeping only pairs whose stripe group `M·h + N·s` is
+/// non-empty and fits in `u64`.
 fn candidates(avg: u64, step: u64, m: usize, n: usize) -> Vec<(u64, u64)> {
     let r_bar = avg.max(step).div_ceil(step) * step; // round up to the grid
     let mut out = Vec::new();
@@ -217,8 +217,13 @@ fn candidates(avg: u64, step: u64, m: usize, n: usize) -> Vec<(u64, u64)> {
         // The "single HServer" extreme: all data on HServers at width R̄.
         out.push((r_bar, 0));
     }
-    // Drop pairs that would have zero total capacity on this cluster.
-    out.retain(|&(h, s)| usize_to_u64(m) * h + usize_to_u64(n) * s > 0);
+    // Drop pairs whose group is empty or overflows on this cluster.
+    let group = |h: u64, s: u64| {
+        usize_to_u64(m)
+            .checked_mul(h)?
+            .checked_add(usize_to_u64(n).checked_mul(s)?)
+    };
+    out.retain(|&(h, s)| group(h, s).is_some_and(|g| g > 0));
     out
 }
 
@@ -322,10 +327,10 @@ fn optimize_region_sampled(
         let (widths, cost, scored) = opt.optimize_counted(&sample, avg_request_size);
         return (LayoutChoice { widths, cost }, sampled, scored);
     }
-    let pair = CostModelParams::from_multi(model.clone());
+    let (m, n) = (model.classes[0].count, model.classes[1].count);
     let step = cfg.effective_step(avg_request_size.max(1));
     let sample = requests.sample(cfg.max_requests_per_eval);
-    let cands = candidates(avg_request_size, step, pair.m(), pair.n());
+    let cands = candidates(avg_request_size, step, m, n);
     assert!(
         !cands.is_empty(),
         "no stripe candidates (cluster has no servers?)"
@@ -337,10 +342,7 @@ fn optimize_region_sampled(
         let w = avg_request_size.max(step).div_ceil(step) * step;
         return (
             LayoutChoice {
-                widths: vec![
-                    if pair.m() > 0 { w } else { 0 },
-                    if pair.n() > 0 { w } else { 0 },
-                ],
+                widths: vec![if m > 0 { w } else { 0 }, if n > 0 { w } else { 0 }],
                 cost: 0.0,
             },
             0,
@@ -348,18 +350,18 @@ fn optimize_region_sampled(
         );
     }
 
+    let kernel = CostKernel::new(model);
     let threads = cfg.threads.max(1).min(cands.len());
     let best = if threads == 1 {
-        best_of(&pair, &sample, &cands)
+        best_of(&kernel, &sample, &cands)
     } else {
         let chunk = cands.len().div_ceil(threads);
         let mut results: Vec<Option<StripeChoice>> = vec![None; threads];
         std::thread::scope(|scope| {
             for (slot, part) in results.iter_mut().zip(cands.chunks(chunk)) {
-                let sample = &sample;
-                let pair = &pair;
+                let (kernel, sample) = (&kernel, &sample);
                 scope.spawn(move || {
-                    *slot = Some(best_of(pair, sample, part));
+                    *slot = Some(best_of(kernel, sample, part));
                 });
             }
         });
@@ -449,7 +451,7 @@ pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 fn best_of(
-    model: &CostModelParams,
+    kernel: &CostKernel,
     sample: &[(u64, u64, harl_devices::OpKind)],
     cands: &[(u64, u64)],
 ) -> StripeChoice {
@@ -459,9 +461,9 @@ fn best_of(
         cost: f64::INFINITY,
     };
     let runs = strided_runs(sample);
-    let startup = model.startup_table();
     'cands: for &(h, s) in cands {
-        let group = usize_to_u64(model.m()) * h + usize_to_u64(model.n()) * s;
+        let widths = [h, s];
+        let group = kernel.group(&widths);
         let mut cost = crate::fold::OrderedSum::new();
         for run in &runs {
             let d = run.d % group;
@@ -481,7 +483,7 @@ fn best_of(
                 } else {
                     1.0
                 };
-                cost.add(mult * model.request_cost_with(&startup, r, run.size, run.op, h, s));
+                cost.add(mult * kernel.cost_in_group(group, r, run.size, run.op, &widths));
                 if cost.value() > best.cost {
                     continue 'cands; // cannot win, even on the tie-break
                 }
@@ -577,8 +579,8 @@ mod tests {
 
     const KB: u64 = 1024;
 
-    fn model() -> CostModelParams {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn recs(n: usize, size: u64, op: OpKind) -> Vec<TraceRecord> {
@@ -708,10 +710,11 @@ mod tests {
         };
         let choice = optimize_region(&SimContext::new(), &m, &reqs, 64 * KB, &cfg, 0);
         let sample: Vec<_> = trace.iter().map(|r| (r.offset, r.size, r.op)).collect();
-        for (h, s) in candidates(64 * KB, 16 * KB, m.m(), m.n()) {
+        let kernel = CostKernel::new(&m);
+        for (h, s) in candidates(64 * KB, 16 * KB, 6, 2) {
             let c: f64 = sample
                 .iter()
-                .map(|&(o, r, op)| m.request_cost(o, r, op, h, s))
+                .map(|&(o, r, op)| kernel.request_cost(o, r, op, &[h, s]))
                 .sum();
             assert!(
                 c >= choice.cost - 1e-15,
@@ -797,6 +800,21 @@ mod tests {
         assert!(c.contains(&(64 * KB, 64 * KB + 16 * KB)), "h = R̄ evaluable");
         // s always strictly greater than h except the (R̄, 0) extreme.
         assert!(c.iter().all(|&(h, s)| s > h || s == 0));
+    }
+
+    #[test]
+    fn candidates_drop_groups_that_overflow() {
+        // R̄ = 2^62 on 6 + 2 servers: the grid's step is 2^55, and every
+        // kept pair's group 6h + 2s must fit in u64.
+        let avg = 1u64 << 62;
+        let step = OptimizerConfig::default().effective_step(avg);
+        let c = candidates(avg, step, 6, 2);
+        let fits =
+            |&(h, s): &(u64, u64)| 6 * u128::from(h) + 2 * u128::from(s) <= u128::from(u64::MAX);
+        assert!(!c.is_empty());
+        assert!(c.iter().all(fits), "{c:?}");
+        // The unfiltered grid holds pairs that wrap, e.g. (R̄, 0).
+        assert!(!fits(&(avg, 0)));
     }
 
     #[test]
@@ -911,7 +929,7 @@ mod tests {
         };
         // K = 2: the grid's size.
         let pair = model();
-        let grid = candidates(512 * KB, cfg.effective_step(512 * KB), pair.m(), pair.n());
+        let grid = candidates(512 * KB, cfg.effective_step(512 * KB), 6, 2);
         assert_eq!(counted(&pair), usize_to_u64(grid.len()));
         // K = 3: every width vector the descent scored.
         let cluster = ClusterConfig::hybrid(4, 2).with_extra_class(2, nvme_2020_preset());
@@ -925,12 +943,9 @@ mod tests {
 
     #[test]
     fn hserver_only_cluster_still_works() {
-        let m = CostModelParams::new(
-            4,
-            0,
+        let m = MultiProfileModel::new(
             &NetworkProfile::gigabit_ethernet(),
-            &hdd_2015_preset(),
-            &ssd_2015_preset(),
+            vec![(4, hdd_2015_preset()), (0, ssd_2015_preset())],
         );
         let trace = recs(16, 256 * KB, OpKind::Read);
         let reqs = RegionRequests::new(&trace, 0);

@@ -16,6 +16,7 @@
 //! * [`HarlPolicy`] — the paper's contribution: Algorithm 1 region
 //!   division + Algorithm 2 per-region width optimisation + RST merge.
 
+use crate::model::CostKernel;
 use crate::multiprofile::MultiProfileModel;
 use crate::optimizer::{optimize_region, OptimizerConfig, RegionRequests};
 use crate::region::RegionDivisionConfig;
@@ -162,6 +163,7 @@ impl LayoutPolicy for SegmentPolicy {
     fn plan(&self, _ctx: &SimContext, trace: &Trace, file_size: u64) -> RegionStripeTable {
         let sorted = trace.sorted_by_offset();
         let classes = self.model.class_count();
+        let kernel = CostKernel::new(&self.model);
         let mut entries = Vec::new();
         let mut offset = 0u64;
         while offset < file_size {
@@ -182,7 +184,7 @@ impl LayoutPolicy for SegmentPolicy {
             let cap = self.optimizer.max_requests_per_eval;
             let mut best: Option<(u64, f64)> = None;
             for k in (step..=r_bar).step_by(step as usize) {
-                let cost = reqs.cost_of_widths(&self.model, &vec![k; classes], cap);
+                let cost = reqs.cost_of_widths(&kernel, &vec![k; classes], cap);
                 best = Some(match best {
                     None => (k, cost),
                     Some(b) if cost < b.1 => (k, cost),
@@ -219,9 +221,9 @@ pub struct ServerLevelPolicy {
 
 impl ServerLevelPolicy {
     /// Server-level policy with default optimizer settings.
-    pub fn new(model: impl Into<MultiProfileModel>) -> Self {
+    pub fn new(model: MultiProfileModel) -> Self {
         ServerLevelPolicy {
-            model: model.into(),
+            model,
             optimizer: OptimizerConfig::default(),
         }
     }
@@ -253,7 +255,7 @@ impl LayoutPolicy for ServerLevelPolicy {
 #[derive(Debug, Clone)]
 pub struct HarlPolicy {
     /// Platform model (ideally calibrated — see
-    /// [`crate::model::CostModelParams::from_cluster_calibrated`]).
+    /// [`MultiProfileModel::from_cluster_calibrated`]).
     pub model: MultiProfileModel,
     /// Region-division tuning (Algorithm 1).
     pub division: RegionDivisionConfig,
@@ -263,9 +265,9 @@ pub struct HarlPolicy {
 
 impl HarlPolicy {
     /// HARL with default tuning for the given model.
-    pub fn new(model: impl Into<MultiProfileModel>) -> Self {
+    pub fn new(model: MultiProfileModel) -> Self {
         HarlPolicy {
-            model: model.into(),
+            model,
             division: RegionDivisionConfig::default(),
             optimizer: OptimizerConfig::default(),
         }
@@ -297,7 +299,6 @@ impl LayoutPolicy for HarlPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostModelParams;
     use crate::trace::TraceRecord;
     use harl_devices::OpKind;
     use harl_pfs::ClusterConfig;
@@ -321,8 +322,8 @@ mod tests {
         )
     }
 
-    fn model() -> CostModelParams {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default())
+    fn model() -> MultiProfileModel {
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     #[test]
@@ -480,14 +481,15 @@ mod tests {
         let harl = HarlPolicy::new(m.clone()).plan(&SimContext::new(), &t, file_size);
         let he = &harl.entries()[0];
         let sorted = t.sorted_by_offset();
+        let kernel = CostKernel::new(&m);
         let harl_cost: f64 = sorted
             .iter()
-            .map(|r| m.request_cost(r.offset, r.size, r.op, he.h(), he.s()))
+            .map(|r| kernel.request_cost(r.offset, r.size, r.op, he.widths()))
             .sum();
         for stripe in [16 * KB, 64 * KB, 256 * KB, MB] {
             let fixed_cost: f64 = sorted
                 .iter()
-                .map(|r| m.request_cost(r.offset, r.size, r.op, stripe, stripe))
+                .map(|r| kernel.request_cost(r.offset, r.size, r.op, &[stripe, stripe]))
                 .sum();
             assert!(
                 harl_cost <= fixed_cost + 1e-12,
@@ -500,7 +502,7 @@ mod tests {
     fn segment_policy_uniform_stripes() {
         let t = uniform_trace(64, 512 * KB, OpKind::Read);
         let policy = SegmentPolicy {
-            model: model().into(),
+            model: model(),
             segment_size: 8 * MB,
             optimizer: OptimizerConfig {
                 threads: 1,
@@ -551,7 +553,7 @@ mod tests {
     fn labels() {
         assert_eq!(HarlPolicy::new(model()).label(), "HARL");
         let seg = SegmentPolicy {
-            model: model().into(),
+            model: model(),
             segment_size: 64 * MB,
             optimizer: OptimizerConfig::default(),
         };

@@ -23,8 +23,6 @@ pub const RULE_SIMCONTEXT: &str = "simcontext-first";
 pub const RULE_RECORDED: &str = "recorded-twins";
 /// See [`metric_registry`].
 pub const RULE_METRIC: &str = "metric-registry";
-/// See [`two_tier_hygiene`].
-pub const RULE_TWO_TIER: &str = "two-tier-hygiene";
 /// See [`crate::semantic::map_iteration_order`].
 pub const RULE_MAP_ITER: &str = "map-iteration-order";
 /// See [`crate::semantic::unordered_parallel_merge`].
@@ -46,7 +44,7 @@ pub fn rule_doc(rule: &str) -> (&'static str, &'static str) {
         RULE_SIMCONTEXT => ("HL005", "DESIGN.md#rules-and-scopes"),
         RULE_RECORDED => ("HL006", "DESIGN.md#rules-and-scopes"),
         RULE_METRIC => ("HL007", "DESIGN.md#rules-and-scopes"),
-        RULE_TWO_TIER => ("HL008", "DESIGN.md#rules-and-scopes"),
+        // HL008 (two-tier-hygiene) is retired and its id is not reused.
         RULE_MAP_ITER => ("HL009", "DESIGN.md#rules-and-scopes"),
         RULE_PAR_MERGE => ("HL010", "DESIGN.md#rules-and-scopes"),
         RULE_FLOAT_ACC => ("HL011", "DESIGN.md#rules-and-scopes"),
@@ -498,110 +496,5 @@ pub fn recorded_twins(
             ),
             lines,
         );
-    }
-}
-
-/// A parameter slice that is exactly `name: u64` (an optional leading
-/// `mut` is ignored). Anything richer — a different type, a pattern, a
-/// reference — is not the legacy stripe-width scalar this rule hunts.
-fn is_width_param(slice: &[Tok], name: &str) -> bool {
-    let toks: Vec<&Tok> = slice.iter().filter(|t| t.text != "mut").collect();
-    toks.len() == 3
-        && toks[0].kind == TokKind::Ident
-        && toks[0].text == name
-        && toks[1].text == ":"
-        && toks[2].kind == TokKind::Ident
-        && toks[2].text == "u64"
-}
-
-/// **two-tier-hygiene** — no new `fn` takes the legacy `(h: u64, s: u64)`
-/// stripe-width pair as adjacent parameters. PR 8 made per-class width
-/// vectors the canonical layout representation; the pair form survives
-/// only in the designated `compat.rs` modules (kept out of scope by the
-/// caller). Interleaved signatures like `(m: usize, h: u64, n: usize,
-/// s: u64)`, closures, and struct fields are untouched: the rule polices
-/// exactly the adjacent-pair `fn` convention that used to spread.
-pub fn two_tier_hygiene(
-    path: &str,
-    toks: &[Tok],
-    mask: &[bool],
-    lines: &[&str],
-    out: &mut Vec<Finding>,
-) {
-    let mut i = 0;
-    while i < toks.len() {
-        if mask[i] || toks[i].kind != TokKind::Ident || toks[i].text != "fn" {
-            i += 1;
-            continue;
-        }
-        // `fn` in a pointer type (`fn(usize) -> T`) has no name; skip.
-        let Some(name) = toks.get(i + 1) else { break };
-        if name.kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 2;
-        // Skip generic parameters, minding fused `>>` from nested generics
-        // (`->` and `=>` are fused tokens and never miscount).
-        if toks.get(j).is_some_and(|t| t.text == "<") {
-            let mut depth = 0i64;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "<" => depth += 1,
-                    ">" => depth -= 1,
-                    ">>" => depth -= 2,
-                    _ => {}
-                }
-                j += 1;
-                if depth <= 0 {
-                    break;
-                }
-            }
-        }
-        if toks.get(j).is_none_or(|t| t.text != "(") {
-            i += 1;
-            continue;
-        }
-        // Split the parameter list at top-level commas.
-        let open = j;
-        let close = matching_paren(toks, open);
-        let mut params: Vec<(usize, usize)> = Vec::new();
-        let mut start = open + 1;
-        let mut dp = 0i64;
-        for (k, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
-            match tok.text.as_str() {
-                "(" | "[" | "{" => dp += 1,
-                ")" | "]" | "}" => dp -= 1,
-                "," if dp == 0 => {
-                    params.push((start, k));
-                    start = k + 1;
-                }
-                _ => {}
-            }
-        }
-        if start < close {
-            params.push((start, close));
-        }
-        for pair in params.windows(2) {
-            let (h_lo, h_hi) = pair[0];
-            let (s_lo, s_hi) = pair[1];
-            if is_width_param(&toks[h_lo..h_hi], "h") && is_width_param(&toks[s_lo..s_hi], "s") {
-                push(
-                    out,
-                    RULE_TWO_TIER,
-                    path,
-                    toks[i].line,
-                    format!(
-                        "`fn {}` takes the legacy `(h: u64, s: u64)` stripe-width pair; new code \
-                         takes per-class widths (`&[u64]` / `RstEntry::widths`) — the pair form \
-                         lives only in the compat modules",
-                        name.text
-                    ),
-                    lines,
-                );
-                break;
-            }
-        }
-        i = close.max(i + 1);
     }
 }

@@ -356,7 +356,7 @@ pub fn trace_plan_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harl_core::{CostModelParams, FixedPolicy, HarlPolicy, RstEntry};
+    use harl_core::{FixedPolicy, HarlPolicy, MultiProfileModel, RstEntry};
     use harl_simcore::metrics::NoopRecorder;
 
     const KB: u64 = 1024;
@@ -579,7 +579,7 @@ mod tests {
                 ));
             }
         }
-        let policy = HarlPolicy::new(CostModelParams::from_cluster(&cluster));
+        let policy = HarlPolicy::new(MultiProfileModel::from_cluster(&cluster));
         let (rst, report) =
             trace_plan_run(&ctx(), &cluster, &policy, &w, &CollectiveConfig::default());
         assert!(!rst.is_empty());

@@ -228,11 +228,11 @@ impl std::fmt::Debug for PlanningService {
 
 impl PlanningService {
     /// A service planning against one platform model.
-    pub fn new(model: impl Into<MultiProfileModel>, cfg: ServeConfig) -> Self {
+    pub fn new(model: MultiProfileModel, cfg: ServeConfig) -> Self {
         let cache = PlanCache::new(cfg.plan_cache_capacity);
         let region_cache = RegionPlanCache::new(cfg.region_cache_capacity);
         PlanningService {
-            model: model.into(),
+            model,
             cfg,
             cache,
             region_cache,
@@ -624,7 +624,7 @@ fn planned_averages(rst: &RegionStripeTable, sorted: &[TraceRecord]) -> Vec<u64>
 mod tests {
     use super::*;
     use crate::runtime::collect_trace;
-    use harl_core::{CostModelParams, HarlPolicy, LayoutPolicy};
+    use harl_core::{HarlPolicy, LayoutPolicy};
     use harl_devices::OpKind;
     use harl_pfs::ClusterConfig;
     use harl_simcore::SimNanos;
@@ -633,7 +633,7 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     fn model() -> MultiProfileModel {
-        CostModelParams::from_cluster(&ClusterConfig::paper_default()).into()
+        MultiProfileModel::from_cluster(&ClusterConfig::paper_default())
     }
 
     fn service() -> PlanningService {

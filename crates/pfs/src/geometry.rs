@@ -30,9 +30,10 @@ impl GroupLayout {
     /// Build a layout from per-slot widths.
     ///
     /// # Panics
-    /// Panics if all widths are zero — a file must live somewhere. Layouts
-    /// arriving from outside the process (scenario files, tables loaded
-    /// from disk) should go through [`Self::try_new`] instead.
+    /// Panics if all widths are zero — a file must live somewhere — or if
+    /// they sum past `u64::MAX`. Layouts arriving from outside the process
+    /// (scenario files, tables loaded from disk) should go through
+    /// [`Self::try_new`] instead.
     pub fn new(widths: Vec<u64>) -> Self {
         #[allow(clippy::panic)]
         match Self::try_new(widths) {
@@ -48,30 +49,25 @@ impl GroupLayout {
         if widths.is_empty() {
             return Err("group layout has no slots".into());
         }
-        let total: u64 = widths.iter().sum();
-        if total == 0 {
+        let mut starts = Vec::with_capacity(widths.len() + 1);
+        let mut acc = 0u64;
+        starts.push(0);
+        for &w in &widths {
+            acc = acc.checked_add(w).ok_or_else(|| {
+                format!(
+                    "group layout overflows u64: its {} widths sum past 2^64",
+                    widths.len()
+                )
+            })?;
+            starts.push(acc);
+        }
+        if acc == 0 {
             return Err(format!(
                 "group layout with no capacity (all {} widths zero)",
                 widths.len()
             ));
         }
-        let mut starts = Vec::with_capacity(widths.len() + 1);
-        let mut acc = 0;
-        starts.push(0);
-        for &w in &widths {
-            acc += w;
-            starts.push(acc);
-        }
         Ok(GroupLayout { widths, starts })
-    }
-
-    /// The paper's two-class layout: `m` slots of width `h` then `n` slots
-    /// of width `s`.
-    pub fn two_class(m: usize, h: u64, n: usize, s: u64) -> Self {
-        let mut widths = Vec::with_capacity(m + n);
-        widths.extend(std::iter::repeat_n(h, m));
-        widths.extend(std::iter::repeat_n(s, n));
-        GroupLayout::new(widths)
     }
 
     /// A homogeneous fixed-stripe layout over `k` slots.
@@ -228,6 +224,12 @@ impl GroupLayout {
 mod tests {
     use super::*;
 
+    /// The paper's two-class widths: `m` slots of width `h`, then `n` of
+    /// width `s`.
+    fn two_class_widths(m: usize, h: u64, n: usize, s: u64) -> Vec<u64> {
+        [vec![h; m], vec![s; n]].concat()
+    }
+
     /// Brute-force byte accounting for cross-checking the closed form.
     fn brute_bytes(layout: &GroupLayout, slot: usize, offset: u64, len: u64) -> u64 {
         let s = layout.group_size();
@@ -243,7 +245,7 @@ mod tests {
 
     #[test]
     fn two_class_group_size() {
-        let l = GroupLayout::two_class(6, 32 * 1024, 2, 160 * 1024);
+        let l = GroupLayout::new(two_class_widths(6, 32 * 1024, 2, 160 * 1024));
         assert_eq!(l.group_size(), 6 * 32 * 1024 + 2 * 160 * 1024);
         assert_eq!(l.slots(), 8);
     }
@@ -261,7 +263,7 @@ mod tests {
 
     #[test]
     fn split_conserves_bytes() {
-        let l = GroupLayout::two_class(6, 32 * 1024, 2, 160 * 1024);
+        let l = GroupLayout::new(two_class_widths(6, 32 * 1024, 2, 160 * 1024));
         for (o, r) in [
             (0u64, 512 * 1024u64),
             (12_345, 512 * 1024),
@@ -276,7 +278,7 @@ mod tests {
 
     #[test]
     fn closed_form_matches_brute_force() {
-        let l = GroupLayout::two_class(3, 4096, 2, 10_240);
+        let l = GroupLayout::new(two_class_widths(3, 4096, 2, 10_240));
         for slot in 0..l.slots() {
             for &(o, r) in &[(0u64, 30_000u64), (5_000, 12_345), (40_000, 1), (4095, 2)] {
                 assert_eq!(
@@ -291,7 +293,7 @@ mod tests {
     #[test]
     fn zero_width_slot_gets_nothing() {
         // Paper Fig. 9: optimal layout {0KB, 64KB} stores nothing on HServers.
-        let l = GroupLayout::two_class(6, 0, 2, 64 * 1024);
+        let l = GroupLayout::new(two_class_widths(6, 0, 2, 64 * 1024));
         let split = l.split(0, 128 * 1024);
         assert_eq!(split, vec![(6, 64 * 1024), (7, 64 * 1024)]);
     }
@@ -299,7 +301,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no capacity")]
     fn all_zero_widths_rejected() {
-        GroupLayout::two_class(4, 0, 2, 0);
+        GroupLayout::new(two_class_widths(4, 0, 2, 0));
     }
 
     #[test]
@@ -310,6 +312,10 @@ mod tests {
         let err = GroupLayout::try_new(Vec::new()).unwrap_err();
         assert!(err.contains("no slots"), "got: {err}");
         assert!(GroupLayout::try_new(vec![0, 64]).is_ok());
+        // A group past u64::MAX is an error, not a wrapped group size.
+        let err = GroupLayout::try_new(vec![u64::MAX, 1]).unwrap_err();
+        assert!(err.contains("overflows u64"), "got: {err}");
+        assert!(GroupLayout::try_new(vec![u64::MAX - 1, 1]).is_ok());
     }
 
     #[test]
@@ -332,7 +338,7 @@ mod tests {
 
     #[test]
     fn multi_group_request() {
-        let l = GroupLayout::two_class(2, 100, 1, 300);
+        let l = GroupLayout::new(two_class_widths(2, 100, 1, 300));
         // S = 500. Request [0, 1250) covers 2 full groups + 250 bytes.
         let split = l.split(0, 1250);
         let total: u64 = split.iter().map(|&(_, b)| b).sum();
@@ -359,7 +365,7 @@ mod tests {
 
     #[test]
     fn largest_fragment_zero_cases() {
-        let l = GroupLayout::two_class(1, 0, 1, 100);
+        let l = GroupLayout::new(two_class_widths(1, 0, 1, 100));
         assert_eq!(l.largest_fragment(0, 0, 1000), 0);
         assert_eq!(l.largest_fragment(1, 0, 0), 0);
     }

@@ -7,8 +7,7 @@
 //!   Fig. 2(a)) — [`FileLayout::fixed`];
 //! * **varied-size stripe**: one width per server class in class order
 //!   (one HARL region; the paper's two-class Fig. 2(b) at `K = 2`) —
-//!   [`FileLayout::for_classes`] (the legacy `(h, s)` entry point
-//!   [`FileLayout::two_class`] lives in [`crate::compat`]);
+//!   [`FileLayout::for_classes`];
 //! * arbitrary per-server widths — [`FileLayout::custom`].
 
 use crate::cluster::{ClusterConfig, ServerId};
@@ -159,7 +158,7 @@ mod tests {
     #[test]
     fn two_class_widths() {
         let c = ClusterConfig::paper_default();
-        let l = FileLayout::two_class(&c, 32 * 1024, 160 * 1024);
+        let l = FileLayout::for_classes(&c, &[32 * 1024, 160 * 1024]);
         assert_eq!(l.width_of(0), 32 * 1024);
         assert_eq!(l.width_of(5), 32 * 1024);
         assert_eq!(l.width_of(6), 160 * 1024);
@@ -170,7 +169,7 @@ mod tests {
     #[test]
     fn zero_h_drops_hservers() {
         let c = ClusterConfig::paper_default();
-        let l = FileLayout::two_class(&c, 0, 64 * 1024);
+        let l = FileLayout::for_classes(&c, &[0, 64 * 1024]);
         assert_eq!(l.servers(), &[6, 7]);
         assert_eq!(l.width_of(0), 0);
         // A 128 KiB request is served entirely by the two SServers.
@@ -181,7 +180,7 @@ mod tests {
     #[test]
     fn zero_s_drops_sservers() {
         let c = ClusterConfig::paper_default();
-        let l = FileLayout::two_class(&c, 64 * 1024, 0);
+        let l = FileLayout::for_classes(&c, &[64 * 1024, 0]);
         assert_eq!(l.servers(), &[0, 1, 2, 3, 4, 5]);
     }
 
@@ -189,7 +188,7 @@ mod tests {
     #[should_panic(expected = "no capacity")]
     fn both_zero_rejected() {
         let c = ClusterConfig::paper_default();
-        FileLayout::two_class(&c, 0, 0);
+        FileLayout::for_classes(&c, &[0, 0]);
     }
 
     #[test]
@@ -201,19 +200,11 @@ mod tests {
     #[test]
     fn split_conservation_two_class() {
         let c = ClusterConfig::hybrid(6, 2);
-        let l = FileLayout::two_class(&c, 36 * 1024, 148 * 1024);
+        let l = FileLayout::for_classes(&c, &[36 * 1024, 148 * 1024]);
         for (o, r) in [(0u64, 512 * 1024u64), (123_456, 512 * 1024), (7, 1)] {
             let total: u64 = l.split(o, r).iter().map(|&(_, b)| b).sum();
             assert_eq!(total, r);
         }
-    }
-
-    #[test]
-    fn for_classes_matches_two_class_at_k2() {
-        let c = ClusterConfig::paper_default();
-        let a = FileLayout::for_classes(&c, &[32 * 1024, 160 * 1024]);
-        let b = FileLayout::two_class(&c, 32 * 1024, 160 * 1024);
-        assert_eq!(a, b);
     }
 
     #[test]

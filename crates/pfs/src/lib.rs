@@ -38,7 +38,6 @@
 )]
 
 pub mod cluster;
-pub mod compat;
 pub(crate) mod disk;
 pub mod faults;
 pub mod geometry;

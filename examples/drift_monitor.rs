@@ -16,7 +16,7 @@ use harl_repro::prelude::*;
 fn main() {
     let cluster = ClusterConfig::paper_default();
     let ccfg = CollectiveConfig::default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     // Day 1: plan for the traced 512 KiB pattern.
     let old = IorConfig::paper_default(OpKind::Read, GIB).build();

@@ -15,7 +15,7 @@ fn main() {
     let request_sizes = [128 * KIB, 512 * KIB, 1024 * KIB, 2048 * KIB];
     let fixed_stripes = [16 * KIB, 64 * KIB, 256 * KIB, 1024 * KIB];
 
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     println!(
         "{:<10} {:>8} {:>8} {:>8} {:>8} {:>10}  HARL (h, s)",

@@ -8,7 +8,7 @@
 //!    per-request spans break each request into mds / nic / disk hops with
 //!    queue-wait and service-time deltas.
 //! 2. *How well does the Sec. III-D cost model predict reality?* — each
-//!    span is replayed through the model for its region's `(h, s)` pair
+//!    span is replayed through the cost kernel for its region's widths
 //!    and the residual `actual − predicted` is summarised per region (the
 //!    same model-drift signal the on-line monitor uses to trigger
 //!    re-optimization).
@@ -27,7 +27,7 @@ fn main() {
     // different stripe pairs and visibly different residual profiles.
     let cluster = ClusterConfig::paper_default();
     let workload = MultiRegionIorConfig::paper_default(OpKind::Read, 0.05).build();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     let recorder = Arc::new(MemoryRecorder::new());
     let ctx = SimContext::recorded(recorder.clone());
@@ -78,6 +78,7 @@ fn main() {
     }
 
     // --- 2. Per-region predicted-vs-actual cost residuals. ---
+    let kernel = CostKernel::new(&model);
     let mut residuals: Vec<OnlineStats> = vec![OnlineStats::new(); rst.len()];
     let mut predictions: Vec<OnlineStats> = vec![OnlineStats::new(); rst.len()];
     for span in &spans {
@@ -98,7 +99,7 @@ fn main() {
         } else {
             OpKind::Read
         };
-        let predicted = model.request_cost(offset, size, op, entry.h(), entry.s());
+        let predicted = kernel.request_cost(offset, size, op, entry.widths());
         predictions[region].push(predicted);
         residuals[region].push(span.latency_ns() as f64 / 1e9 - predicted);
     }

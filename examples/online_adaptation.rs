@@ -22,7 +22,7 @@ fn main() {
 
     // First run: trace and plan.
     let trace = collect_trace_lowered(&cluster, &workload, &ccfg);
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let harl = HarlPolicy::new(model.clone());
     let rst = harl.plan(&SimContext::new(), &trace, file_size);
     let ssd_bytes = projected_sserver_bytes(&model, &rst);

@@ -26,7 +26,7 @@ fn main() {
 
     // 3. Analysis Phase inputs: *measured* device parameters, exactly as
     //    the paper probes one file server of each kind.
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     // 4. Trace -> plan -> place -> run, under HARL and under the default.
     let ccfg = CollectiveConfig::default();

@@ -372,12 +372,18 @@ impl Scenario {
                 }
             }
         }
+        let servers = self.build_cluster().server_count();
         match self.policy {
             PolicySpec::Fixed(0) => return Err("Fixed policy stripe must be > 0".into()),
+            PolicySpec::Fixed(stripe) if stripe.checked_mul(servers as u64).is_none() => {
+                return Err(format!(
+                    "Fixed policy stripe {stripe} on {servers} servers overflows u64: \
+                     the stripe group must fit in u64"
+                ))
+            }
             PolicySpec::Segment(0) => return Err("Segment policy segment must be > 0".into()),
             _ => {}
         }
-        let servers = self.build_cluster().server_count();
         for (i, f) in self.faults.iter().enumerate() {
             if f.server >= servers {
                 return Err(format!(

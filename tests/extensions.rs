@@ -28,7 +28,7 @@ fn online_adaptation_converges_to_fresh_offline_plan() {
     // the adapted table must still beat the traditional 64K default.
     let cluster = ClusterConfig::paper_default();
     let ccfg = CollectiveConfig::default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
 
     let old_workload = ior(OpKind::Read, 512 * KIB, 1);
     let old_trace = collect_trace_lowered(&cluster, &old_workload, &ccfg);
@@ -90,7 +90,7 @@ fn multiapp_per_app_planning_beats_shared_default() {
     let app1 = ior(OpKind::Read, 512 * KIB, 3);
     let app2 = ior(OpKind::Read, 128 * KIB, 4);
 
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let plan = |w: &Workload| {
         let trace = collect_trace_lowered(&cluster, w, &ccfg);
         HarlPolicy::new(model.clone()).plan(&SimContext::new(), &trace, FILE)
@@ -141,20 +141,6 @@ fn straggler_injection_visible_end_to_end() {
 }
 
 #[test]
-fn k_profile_model_agrees_with_two_class_on_pair_clusters() {
-    let cluster = ClusterConfig::paper_default();
-    let pair = CostModelParams::from_cluster(&cluster);
-    let multi = MultiProfileModel::from_cluster(&cluster);
-    for (offset, size) in [(0u64, 512 * KIB), (123 * KIB, 2 * MIB), (7 * KIB, 4 * KIB)] {
-        for op in OpKind::ALL {
-            let a = pair.request_cost(offset, size, op, 48 * KIB, 96 * KIB);
-            let b = multi.request_cost(offset, size, op, &[48 * KIB, 96 * KIB]);
-            assert!((a - b).abs() < 1e-15);
-        }
-    }
-}
-
-#[test]
 fn analysis_summary_matches_workload_shape() {
     use harl_repro::harl::summarize;
     let cluster = ClusterConfig::paper_default();
@@ -176,7 +162,7 @@ fn metadata_stays_bounded_on_adversarial_trace() {
     // threshold adaptation must keep the RST metadata bounded by the
     // fixed-size division (Sec. III-C).
     let cluster = ClusterConfig::paper_default();
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let mut records = Vec::new();
     for i in 0..2048u64 {
         let size = if i % 2 == 0 { 16 * KIB } else { 2 * MIB };

@@ -21,7 +21,7 @@ fn ior(op: OpKind, processes: usize, request_size: u64, cluster_file: u64) -> Wo
 }
 
 fn harl_for(cluster: &ClusterConfig) -> HarlPolicy {
-    HarlPolicy::new(CostModelParams::from_cluster_calibrated(
+    HarlPolicy::new(MultiProfileModel::from_cluster_calibrated(
         cluster,
         &CalibrationConfig::default(),
     ))
@@ -292,7 +292,7 @@ fn discussion_space_balancing_respects_budget() {
     let w = ior(OpKind::Read, 16, 512 * KIB, FILE);
     let ccfg = CollectiveConfig::default();
     let trace = collect_trace_lowered(&cluster, &w, &ccfg);
-    let model = CostModelParams::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
+    let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());
     let rst = HarlPolicy::new(model.clone()).plan(&SimContext::new(), &trace, FILE);
     let unconstrained = projected_sserver_bytes(&model, &rst);
     let balancer = SpaceBalancer {

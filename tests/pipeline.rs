@@ -18,7 +18,7 @@ fn ior(op: OpKind, processes: usize, request_size: u64) -> Workload {
 }
 
 fn harl(cluster: &ClusterConfig) -> HarlPolicy {
-    HarlPolicy::new(CostModelParams::from_cluster_calibrated(
+    HarlPolicy::new(MultiProfileModel::from_cluster_calibrated(
         cluster,
         &CalibrationConfig::default(),
     ))

@@ -1,10 +1,16 @@
 //! Property-based tests (proptest) on the core invariants across crates.
 
-use harl_repro::harl::{case_a_params, server_loads};
+use harl_repro::harl::{case_a_params, ServerLoads};
 use harl_repro::prelude::*;
 use proptest::prelude::*;
 
 const STEP: u64 = 4096;
+
+/// The exact `(s_m, m, s_n, n)` of a request on the paper's 6 + 2 cluster.
+fn server_loads(offset: u64, size: u64, h: u64, s: u64) -> ServerLoads {
+    let model = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
+    ServerLoads::from_classes(&model.class_loads(offset, size, &[h, s]))
+}
 
 prop_compose! {
     /// A two-class stripe pair with at least one positive width, on the
@@ -29,7 +35,7 @@ proptest! {
         n in 1usize..8,
     ) {
         let cluster = ClusterConfig::hybrid(m, n);
-        let layout = FileLayout::two_class(&cluster, h, s);
+        let layout = FileLayout::for_classes(&cluster, &[h, s]);
         let pieces = layout.split(offset, len);
         let total: u64 = pieces.iter().map(|&(_, b)| b).sum();
         prop_assert_eq!(total, len);
@@ -49,7 +55,7 @@ proptest! {
         offset in 0u64..(1 << 34),
         size in 1u64..(8 << 20),
     ) {
-        let loads = server_loads(offset, size, 6, h, 2, s);
+        let loads = server_loads(offset, size, h, s);
         prop_assert!(loads.s_m <= size);
         prop_assert!(loads.s_n <= size);
         prop_assert!(loads.m <= 6);
@@ -72,7 +78,7 @@ proptest! {
     ) {
         let (h, s) = (h * STEP, s * STEP);
         if let Some(table) = case_a_params(offset, size, 6, h, 2, s) {
-            let exact = server_loads(offset, size, 6, h, 2, s);
+            let exact = server_loads(offset, size, h, s);
             let group = 6 * h + 2 * s;
             let d_r = (offset + size) / group - offset / group;
             let n_b = (offset % group) / h;
@@ -103,11 +109,11 @@ proptest! {
         size in 1u64..(4 << 20),
         op_is_read in any::<bool>(),
     ) {
-        let model = CostModelParams::from_cluster(&ClusterConfig::paper_default());
+        let kernel = CostKernel::new(&MultiProfileModel::from_cluster(&ClusterConfig::paper_default()));
         let op = if op_is_read { OpKind::Read } else { OpKind::Write };
-        prop_assert_eq!(model.request_cost(offset, 0, op, h, s), 0.0);
-        let c1 = model.request_cost(offset, size, op, h, s);
-        let c2 = model.request_cost(offset, size * 2, op, h, s);
+        prop_assert_eq!(kernel.request_cost(offset, 0, op, &[h, s]), 0.0);
+        let c1 = kernel.request_cost(offset, size, op, &[h, s]);
+        let c2 = kernel.request_cost(offset, size * 2, op, &[h, s]);
         prop_assert!(c1 > 0.0);
         prop_assert!(c2 >= c1, "doubling the size reduced cost: {} -> {}", c1, c2);
     }

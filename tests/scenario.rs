@@ -107,6 +107,11 @@ fn validation_rejects_impossible_scenarios() {
             "request_size",
         ),
         (base.clone().with_policy(PolicySpec::Fixed(0)), "stripe"),
+        // 8 servers × 2^62 bytes: the stripe group would wrap to 0.
+        (
+            base.clone().with_policy(PolicySpec::Fixed(1 << 62)),
+            "overflows u64",
+        ),
         (
             base.clone().with_fault(FaultSpec {
                 server: 999,
