@@ -26,6 +26,12 @@ echo "== benchmark package tests =="
 # workspace test run above does not reach it.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark package clippy (deny warnings) =="
+cargo clippy --offline -q --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
+echo "== benchmark package cargo fmt --check =="
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

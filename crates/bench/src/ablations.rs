@@ -16,8 +16,8 @@
 use crate::figures::FigureResult;
 use crate::harness::{improvement_pct, measure, PolicyOutcome, Scale};
 use harl_core::{
-    case_a_params, FixedPolicy, HarlPolicy, LayoutPolicy, MultiProfileModel, MultiProfileOptimizer,
-    OptimizerConfig, SegmentPolicy, ServerLevelPolicy, ServerLoads,
+    case_a_params, CostKernel, FixedPolicy, HarlPolicy, LayoutPolicy, MultiProfileModel,
+    MultiProfileOptimizer, OptimizerConfig, SegmentPolicy, ServerLevelPolicy, ServerLoads,
 };
 use harl_devices::{nvme_2020_preset, CalibrationConfig, OpKind};
 use harl_middleware::collect_trace_lowered;
@@ -164,6 +164,7 @@ pub fn abl_model(scale: &Scale) -> FigureResult {
     let (o_cal, _, _) = measure(&cluster, &HarlPolicy::new(calibrated), &w);
 
     // Case-table agreement over random (offset, size, h, s) draws.
+    let kernel = CostKernel::new(&truth);
     let mut rng = SimRng::new(0xAB1);
     let mut applicable = 0u64;
     let mut agree = 0u64;
@@ -175,7 +176,7 @@ pub fn abl_model(scale: &Scale) -> FigureResult {
         let size = rng.uniform_u64(1, 512) * 4096;
         if let Some(table) = case_a_params(offset, size, 6, h, 2, s) {
             applicable += 1;
-            if table == ServerLoads::from_classes(&truth.class_loads(offset, size, &[h, s])) {
+            if table == ServerLoads::from_classes(&kernel.class_loads(offset, size, &[h, s])) {
                 agree += 1;
             }
         }

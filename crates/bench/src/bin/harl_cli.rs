@@ -16,7 +16,6 @@
 //!              [--threads T] [--metrics-out metrics.jsonl] [--sample-ms MS]
 //! harl-cli serve --scenario serve.json [--out report.json] [--threads T]
 //!              [--metrics-out metrics.jsonl]
-//! harl-cli lint [--root DIR] [--json]
 //! harl-cli audit-determinism [--root DIR]
 //! ```
 //!
@@ -66,7 +65,6 @@ fn usage() -> ! {
          [--metrics-out metrics.jsonl] [--sample-ms MS]\n  \
          harl-cli serve --scenario serve.json [--out report.json] [--threads T] \
          [--metrics-out metrics.jsonl]\n  \
-         harl-cli lint [--root DIR] [--json]\n  \
          harl-cli audit-determinism [--root DIR]"
     );
     std::process::exit(2);
@@ -105,7 +103,6 @@ struct Opts {
     region_size: Option<u64>,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
-    json: bool,
     threads: Option<usize>,
     scenario: Option<PathBuf>,
     seed: Option<u64>,
@@ -123,7 +120,6 @@ fn parse_opts(args: &[String]) -> Opts {
         region_size: None,
         metrics_out: None,
         trace_out: None,
-        json: false,
         threads: None,
         scenario: None,
         seed: None,
@@ -153,7 +149,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--trace-out" => {
                 opts.trace_out = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage()))
             }
-            "--json" => opts.json = true,
             "--threads" => {
                 opts.threads = it.next().and_then(|v| v.parse().ok());
                 if opts.threads.is_none() {
@@ -587,26 +582,6 @@ fn cmd_audit_determinism(opts: &Opts) {
     }
 }
 
-fn cmd_lint(opts: &Opts) {
-    if !opts.positional.is_empty() {
-        usage();
-    }
-    let root = opts.root.clone().unwrap_or_else(|| PathBuf::from("."));
-    let allow = root.join("lint.allow.toml");
-    let report = harl_lint::run(&root, &allow).unwrap_or_else(|e| {
-        eprintln!("harl-lint: {e}");
-        std::process::exit(2);
-    });
-    if opts.json {
-        print!("{}", harl_lint::render_json(&report));
-    } else {
-        print!("{}", harl_lint::render_human(&report));
-    }
-    if !report.is_clean() {
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -621,7 +596,6 @@ fn main() {
         "report" => cmd_report(&opts),
         "run" => cmd_run(&opts),
         "serve" => cmd_serve(&opts),
-        "lint" => cmd_lint(&opts),
         "audit-determinism" => cmd_audit_determinism(&opts),
         _ => usage(),
     }

@@ -213,3 +213,71 @@ fn rst_row_whose_group_overflows_exits_1() {
     assert!(stderr.contains("overflows u64"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn impossible_serve_specs_exit_1() {
+    use harl_repro::scenario::{ClusterSpec, HybridCluster, ServeSpec, TierSpec, TieredCluster};
+
+    let dir = inputs("serve", "{}");
+    let multiapp = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/multiapp.json"),
+    )
+    .expect("read the multiapp spec");
+    let base: ServeSpec = serde_json::from_str(&multiapp).expect("parse the multiapp spec");
+    let hybrid = |hservers, sservers, compute_nodes| {
+        ClusterSpec::Hybrid(HybridCluster {
+            hservers,
+            sservers,
+            compute_nodes,
+            seed: None,
+        })
+    };
+    let floppy = ClusterSpec::Tiered(TieredCluster {
+        tiers: vec![TierSpec {
+            count: 4,
+            preset: "floppy".into(),
+        }],
+        compute_nodes: None,
+        seed: None,
+    });
+    let edited = |edit: &dyn Fn(&mut ServeSpec)| {
+        let mut spec = base.clone();
+        edit(&mut spec);
+        spec
+    };
+    // Each impossible spec, and a word its message must name.
+    let cases = [
+        (
+            "at least one server",
+            edited(&|s| s.cluster = hybrid(0, 0, None)),
+        ),
+        (
+            "compute node",
+            edited(&|s| s.cluster = hybrid(6, 2, Some(0))),
+        ),
+        ("floppy", edited(&|s| s.cluster = floppy.clone())),
+        (
+            "serve.optimizer.step",
+            edited(&|s| s.serve.optimizer.step = 0),
+        ),
+        (
+            "serve.online.optimizer.step",
+            edited(&|s| s.serve.online.optimizer.step = 0),
+        ),
+        (
+            "serve.division.fixed_region_size",
+            edited(&|s| s.serve.division.fixed_region_size = 0),
+        ),
+        (
+            "serve.online.drift_ratio",
+            edited(&|s| s.serve.online.drift_ratio = 1.0),
+        ),
+    ];
+    for (i, (needle, spec)) in cases.iter().enumerate() {
+        let path = dir.join(format!("serve-{i}.json"));
+        std::fs::write(&path, spec.to_json_pretty()).expect("write the spec");
+        let stderr = expect_exit(&["serve", "--scenario", path.to_str().unwrap()], 1);
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,11 +1,12 @@
 //! Audited integer conversions for the cost model.
 //!
-//! The Sec. III-D cost model (model.rs, optimizer.rs, analysis.rs) is held
-//! to harl-lint's `cast-hygiene` rule: no bare `as` integer casts, because
-//! `as` silently wraps on narrowing and silently reinterprets on sign
-//! changes. Every conversion the model needs goes through one of these
-//! helpers instead, each with an explicit policy: lossless by `From`,
-//! or saturating at the type bounds.
+//! The Sec. III-D cost model (model.rs, optimizer.rs, analysis.rs) carries
+//! clippy's cast tier (`cast_possible_truncation`, `cast_possible_wrap`,
+//! `cast_sign_loss`, `cast_lossless`; see `lib.rs`), because `as` silently
+//! wraps on narrowing and silently reinterprets on sign changes. Every
+//! conversion the model needs goes through one of these helpers instead,
+//! each with an explicit policy: lossless by `From`, or saturating at the
+//! type bounds.
 //!
 //! Saturation never fires in practice — the model documents that byte
 //! quantities stay below 2^63 (see `class_span_loads`) — so for all
@@ -16,7 +17,8 @@
 //! Float→int conversion appears once (display rounding in analysis.rs)
 //! and uses Rust's saturating float casts explicitly. `usize as f64` /
 //! `u64 as f64` casts remain bare in the model: quantities below 2^53
-//! convert exactly, and harl-lint exempts `as f64` for that reason.
+//! convert exactly, and the tier leaves `as f64` alone (`cast_precision_loss`
+//! is not in it) for that reason.
 
 /// Widen `usize` to `u64`. Lossless on every supported target (Rust does
 /// not ship `usize` wider than 64 bits with std).

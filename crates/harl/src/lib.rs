@@ -21,18 +21,32 @@
 //! two server performance profiles) and [`online`] (on-line drift
 //! detection and re-layout).
 
-// missing_docs / rust_2018_idioms come from [workspace.lints]. The
-// cfg_attr tier mirrors harl-lint's panic-hygiene rule at compile time
-// for library code; unit tests compile under cfg(test) and stay exempt.
+// missing_docs / rust_2018_idioms come from [workspace.lints], which also
+// warn on todo!/unimplemented!. Library code must not panic: the cfg_attr
+// tier denies the other four panic lints; unit tests compile under
+// cfg(test) and stay exempt.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
 )]
 
 // The cost-model modules (Sec. III-D, Eqs. 1–8) carry the strictest
-// numeric tier, backing harl-lint's cast-hygiene and float-eq rules with
-// type-aware clippy checks.
-#[warn(clippy::float_cmp, clippy::cast_possible_truncation)]
+// numeric tier: no exact float comparison and no integer `as` cast that
+// can truncate, wrap, drop a sign or stand in for a lossless `From`
+// (conversions go through `cast`). `usize as u64` and `== 0.0` stay
+// unflagged; DESIGN.md Appendix D says why.
+#[warn(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss,
+    clippy::cast_lossless
+)]
 pub mod analysis;
 pub mod cache;
 pub(crate) mod cast;
@@ -41,11 +55,23 @@ pub mod errors;
 pub mod fingerprint;
 pub mod fold;
 pub mod migration;
-#[warn(clippy::float_cmp, clippy::cast_possible_truncation)]
+#[warn(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss,
+    clippy::cast_lossless
+)]
 pub mod model;
 pub mod multiprofile;
 pub mod online;
-#[warn(clippy::float_cmp, clippy::cast_possible_truncation)]
+#[warn(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss,
+    clippy::cast_lossless
+)]
 pub mod optimizer;
 pub mod policy;
 pub mod region;

@@ -139,6 +139,33 @@ impl CostKernel {
         self.cost_in_group(group, offset % group, size, op, widths)
     }
 
+    /// Per-class `(max_load, servers_touched)` — the `s_c` and `k_c` of
+    /// Eqs. 1–6 — for a request at region-relative `offset` of `size`
+    /// bytes under per-class `widths`: the exact round-robin geometry of
+    /// `class_span_loads`, one class at a time.
+    ///
+    /// # Panics
+    /// Panics unless there is one width per class, or if the stripe group
+    /// `Σ count_c · w_c` is empty or overflows `u64` (even for an empty
+    /// request).
+    pub fn class_loads(&self, offset: u64, size: u64, widths: &[u64]) -> Vec<(u64, usize)> {
+        let group = self.group(widths);
+        let classes = self.terms(OpKind::Read);
+        if size == 0 {
+            return vec![(0, 0); classes.len()];
+        }
+        let end = offset + size;
+        let dq = end / group - offset / group;
+        let (r_o, r_e) = (offset % group, end % group);
+        let mut out = Vec::with_capacity(classes.len());
+        let mut base = 0u64;
+        for (c, &w) in classes.iter().zip(widths) {
+            out.push(class_span_loads(dq, r_o, r_e, base, w, c.count));
+            base += usize_to_u64(c.count) * w;
+        }
+        out
+    }
+
     /// [`Self::request_cost`] for callers pricing many requests under one
     /// width vector: `group` is [`Self::group`] of `widths` and `residue`
     /// the request's offset mod `group` (cost depends on the offset only
@@ -200,7 +227,7 @@ pub struct ServerLoads {
 
 impl ServerLoads {
     /// The two-class reading of per-class `(max_load, servers_touched)`
-    /// pairs as [`MultiProfileModel::class_loads`] returns them: class 0
+    /// pairs as [`CostKernel::class_loads`] returns them: class 0
     /// holds the HServers, class 1 the SServers (a missing class reads as
     /// untouched).
     pub fn from_classes(loads: &[(u64, usize)]) -> Self {
@@ -302,7 +329,7 @@ pub(crate) fn class_span_loads(
 /// an SServer) or hits a degenerate fragment the table does not define
 /// (an ending offset exactly on a stripe boundary). Implemented for
 /// cross-validation against the exact geometry
-/// ([`MultiProfileModel::class_loads`], read through
+/// ([`CostKernel::class_loads`], read through
 /// [`ServerLoads::from_classes`]); the paper presents only this case and
 /// leaves the others to "the same arguments".
 ///
@@ -423,7 +450,7 @@ mod tests {
 
     /// The exact `(s_m, m, s_n, n)` on `m` HServers and `n` SServers.
     fn exact(offset: u64, size: u64, m: usize, h: u64, n: usize, s: u64) -> ServerLoads {
-        ServerLoads::from_classes(&model(m, n).class_loads(offset, size, &[h, s]))
+        ServerLoads::from_classes(&CostKernel::new(&model(m, n)).class_loads(offset, size, &[h, s]))
     }
 
     #[test]

@@ -102,35 +102,6 @@ impl MultiProfileModel {
     pub fn class_count(&self) -> usize {
         self.classes.len()
     }
-
-    /// Per-class `(max_load, servers_touched)` for a request under
-    /// per-class widths — the exact round-robin geometry of
-    /// `model::class_span_loads`, one class at a time.
-    pub fn class_loads(&self, offset: u64, size: u64, widths: &[u64]) -> Vec<(u64, usize)> {
-        assert_eq!(widths.len(), self.classes.len(), "one width per class");
-        let group: u64 = self
-            .classes
-            .iter()
-            .zip(widths)
-            .map(|(c, &w)| c.count as u64 * w)
-            .sum();
-        assert!(group > 0, "layout has no capacity");
-        if size == 0 {
-            return vec![(0, 0); self.classes.len()];
-        }
-        let end = offset + size;
-        let dq = end / group - offset / group;
-        let (r_o, r_e) = (offset % group, end % group);
-        let mut out = Vec::with_capacity(self.classes.len());
-        let mut base = 0u64;
-        for (c, &w) in self.classes.iter().zip(widths) {
-            out.push(crate::model::class_span_loads(
-                dq, r_o, r_e, base, w, c.count,
-            ));
-            base += c.count as u64 * w;
-        }
-        out
-    }
 }
 
 /// Coordinate-descent stripe optimizer over K classes.
@@ -602,7 +573,7 @@ mod tests {
             ],
         );
         let widths = [16 * KB, 64 * KB, 128 * KB];
-        let loads = model.class_loads(0, 288 * KB, &widths);
+        let loads = CostKernel::new(&model).class_loads(0, 288 * KB, &widths);
         // Group = 2*16 + 2*64 + 128 = 288 KiB: one full group.
         assert_eq!(loads[0], (16 * KB, 2));
         assert_eq!(loads[1], (64 * KB, 2));
@@ -633,6 +604,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one width per class")]
     fn width_count_mismatch_panics() {
-        two_class_model().class_loads(0, 1, &[4 * KB]);
+        CostKernel::new(&two_class_model()).class_loads(0, 1, &[4 * KB]);
     }
 }

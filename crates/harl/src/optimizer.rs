@@ -514,9 +514,9 @@ fn best_of(
 /// Preferring the larger stripe means fewer stripe fragments and less
 /// metadata — and matches the paper's reported optima (Fig. 9's
 /// `{0, 64K}` rather than `{0, 4K}`).
-// Exact comparison, allowlisted in lint.allow.toml: a tolerance here would
-// make the winner depend on evaluation order and break bit-determinism
-// across thread counts.
+// Exact comparison on purpose: a tolerance here would make the winner
+// depend on evaluation order and break bit-determinism across thread
+// counts.
 #[allow(clippy::float_cmp)]
 fn pick_better(a: StripeChoice, b: StripeChoice) -> StripeChoice {
     if b.cost < a.cost || (b.cost == a.cost && (b.h, b.s) > (a.h, a.s)) {

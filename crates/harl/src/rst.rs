@@ -132,8 +132,8 @@ impl RegionStripeTable {
     /// Panics if entries are empty, unsorted, overlapping, gapped, not
     /// starting at 0, or any entry has all-zero widths, zero length, or a
     /// class count differing from row 0's.
-    // Documented-precondition panic, allowlisted in lint.allow.toml:
-    // fallible callers (tables read from disk) use try_new/load_from_path.
+    // Documented-precondition panic: fallible callers (tables read from
+    // disk) use try_new/load_from_path.
     #[allow(clippy::panic)]
     pub fn new(entries: Vec<RstEntry>) -> Self {
         Self::try_new(entries).unwrap_or_else(|reason| panic!("{reason}"))

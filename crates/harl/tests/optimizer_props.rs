@@ -129,9 +129,9 @@ proptest! {
         size in 2u64..(1 << 22),
     ) {
         let widths = [h * 4096, s * 4096];
-        let m = model();
-        let big = m.class_loads(offset, size, &widths);
-        let small = m.class_loads(offset, size / 2, &widths);
+        let kernel = CostKernel::new(&model());
+        let big = kernel.class_loads(offset, size, &widths);
+        let small = kernel.class_loads(offset, size / 2, &widths);
         for (small, big) in small.iter().zip(&big) {
             prop_assert!(small.0 <= big.0);
             prop_assert!(small.1 <= big.1);
@@ -281,12 +281,13 @@ proptest! {
         let PricedRequest { model, widths, offset, size, op } = &req;
         let (offset, size, op) = (*offset, *size, *op);
         let counts: Vec<usize> = model.classes.iter().map(|c| c.count).collect();
+        let kernel = CostKernel::new(model);
         prop_assert_eq!(
-            model.class_loads(offset, size, widths),
+            kernel.class_loads(offset, size, widths),
             server_loads_scan(offset, size, &counts, widths)
         );
         prop_assert_eq!(
-            CostKernel::new(model).request_cost(offset, size, op, widths).to_bits(),
+            kernel.request_cost(offset, size, op, widths).to_bits(),
             paper_cost(model, offset, size, op, widths).to_bits()
         );
     }

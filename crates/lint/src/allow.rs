@@ -27,7 +27,7 @@ pub struct AllowEntry {
     pub path: String,
     /// Substring that must appear on the flagged source line.
     pub pattern: String,
-    /// Why this site is legitimate — shown in `--json` output.
+    /// Why this site is legitimate; required, so every exception is reasoned.
     pub reason: String,
     /// 1-based line of the `[[allow]]` header in the allowlist file.
     pub line: usize,
@@ -128,15 +128,15 @@ pattern = "Instant::now"
 reason = "plan_wall_s"
 
 [[allow]]
-rule = "float-eq"
-path = "crates/harl/src/optimizer.rs"
-pattern = "b.cost == a.cost"
-reason = "exact tie-break"
+rule = "determinism"
+path = "crates/simcore/src/profiler.rs"
+pattern = "Instant"
+reason = "phase profiler"
 "#;
         let entries = parse(src).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].rule, "determinism");
-        assert_eq!(entries[1].pattern, "b.cost == a.cost");
+        assert_eq!(entries[1].pattern, "Instant");
         assert_eq!(entries[0].line, 3);
     }
 

@@ -283,23 +283,73 @@ fn item_extent(toks: &[Tok], from: usize, end: usize) -> (Option<(usize, usize)>
     (None, end)
 }
 
-/// Index of the `}` matching the `{` at `open` (or the last token when
+/// Index of the `}` matching the `{` at `open` (or `end - 1` when
 /// unbalanced — malformed input degrades, never panics).
-fn matching_brace(toks: &[Tok], open: usize, end: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().take(end).skip(open) {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
+pub(crate) fn matching_brace(toks: &[Tok], open: usize, end: usize) -> usize {
+    skip_balanced(toks, open, end, "{", "}").saturating_sub(1)
+}
+
+/// Index of the `)` matching the `(` at `open`, by the same rule.
+pub(crate) fn matching_paren(toks: &[Tok], open: usize) -> usize {
+    skip_balanced(toks, open, toks.len(), "(", ")").saturating_sub(1)
+}
+
+/// A function signature: top-level parameter slices plus the parenthesis
+/// span, for name extraction and return-type scanning.
+pub(crate) struct Sig {
+    pub(crate) params: Vec<(usize, usize)>,
+    pub(crate) close: usize,
+}
+
+/// The signature of the `fn` whose keyword is at `kw`, or `None` when it
+/// has no name or no parameter list before `limit`.
+pub(crate) fn fn_signature(toks: &[Tok], kw: usize, limit: usize) -> Option<Sig> {
+    let name = toks.get(kw + 1)?;
+    if name.kind != TokKind::Ident {
+        return None;
+    }
+    let mut j = kw + 2;
+    // Skip generic parameters, minding fused `>>` from nested generics
+    // (`->` and `=>` are fused tokens and never miscount).
+    if toks.get(j).is_some_and(|t| t.text == "<") {
+        let mut depth = 0i64;
+        while j < limit {
+            match toks[j].text.as_str() {
+                "<" => depth += 1,
+                ">" => depth -= 1,
+                ">>" => depth -= 2,
+                _ => {}
+            }
+            j += 1;
+            if depth <= 0 {
+                break;
+            }
+        }
+    }
+    if toks.get(j).is_none_or(|t| t.text != "(") {
+        return None;
+    }
+    // Split the parameter list at top-level commas.
+    let open = j;
+    let close = matching_paren(toks, open);
+    let mut params = Vec::new();
+    let mut start = open + 1;
+    let mut dp = 0i64;
+    for (k, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
+        match tok.text.as_str() {
+            "(" | "[" | "{" => dp += 1,
+            ")" | "]" | "}" => dp -= 1,
+            "," if dp == 0 => {
+                params.push((start, k));
+                start = k + 1;
             }
             _ => {}
         }
     }
-    end.saturating_sub(1)
+    if start < close {
+        params.push((start, close));
+    }
+    Some(Sig { params, close })
 }
 
 /// Given the first token *inside* an attribute's brackets, decide whether

@@ -481,19 +481,6 @@ fn lex_number(chars: &[char], i: usize, line: usize, prev: Option<&Tok>) -> (Tok
     )
 }
 
-/// Mark every token that belongs to a `#[cfg(test)]` item.
-///
-/// Returns a mask parallel to `toks`: `true` means "test-only code, exempt
-/// from the rules". Since the v2 analyzer this delegates to the pass-1
-/// item graph ([`crate::graph::Graph::test_mask`]), which inherits the
-/// gate through nested `mod` blocks and `#[cfg(test)]`-gated `impl`
-/// items, and also recognises bare `#[test]` functions and
-/// `cfg(all(test, …))` lists — granularity the old flat attribute scan
-/// did not have.
-pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
-    crate::graph::Graph::build(toks).test_mask()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

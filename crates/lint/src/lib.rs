@@ -1,22 +1,20 @@
 //! `harl-lint`: project-specific static analysis for the HARL workspace.
 //!
-//! The compiler and clippy cannot check the two properties this
-//! reproduction lives on: **bit-determinism** (same Scenario + seed ⇒
-//! byte-identical report) and **cost-model numeric hygiene** (Sec. III-D,
-//! Eqs. 1–8). This crate is a two-pass semantic analyzer (still no parser
-//! crate, no dependencies): pass 1 segments the token stream into a
-//! lightweight item/module graph (`graph`), pass 2 runs the token rules
-//! (`rules`) and the graph-aware semantic rules (`semantic`) described in
-//! DESIGN.md Appendix D:
+//! Clippy owns panic, cast and float-comparison hygiene (DESIGN.md
+//! Appendix D, "Three lint tiers"). What neither it nor the compiler can
+//! check are this project's conventions: **bit-determinism** (same
+//! Scenario + seed ⇒ byte-identical report), a pinned `f64` accumulation
+//! order in the cost model (Sec. III-D, Eqs. 1–8), one calling convention
+//! and one metric registry. This crate is a two-pass semantic analyzer
+//! (still no parser crate, no dependencies): pass 1 segments the token
+//! stream into a lightweight item/module graph (`graph`), pass 2 runs the
+//! token rules (`rules`) and the graph-aware semantic rules (`semantic`)
+//! described in DESIGN.md Appendix D:
 //!
 //! | rule | scope | meaning |
 //! |------|-------|---------|
 //! | `determinism` | simulated-time crates | no `Instant`/`SystemTime`/env entropy |
-//! | `panic-hygiene` | library crates | no `unwrap`/`expect`/`panic!` outside tests |
-//! | `cast-hygiene` | cost-model files | no bare `as <int>` casts |
-//! | `float-eq` | cost-model files | no `==`/`!=` on floats |
 //! | `simcontext-first` | everywhere | `&SimContext` is the first non-self arg |
-//! | `recorded-twins` | everywhere | no `*_recorded` API resurrection |
 //! | `metric-registry` | everywhere but `registry.rs` | no quoted metric names at Recorder calls |
 //! | `map-iteration-order` | simulated-time crates | no HashMap/HashSet iteration without ordering |
 //! | `unordered-parallel-merge` | simulated-time crates | parallel results merge in canonical key order |
@@ -26,9 +24,9 @@
 //! pattern + reason); unused entries are reported as `stale-allow` so the
 //! allowlist ratchets down, never silently up.
 
-// missing_docs / rust_2018_idioms come from [workspace.lints]. The
-// cfg_attr tier mirrors this crate's own panic-hygiene rule at compile
-// time; unit tests compile under cfg(test) and stay exempt.
+// missing_docs / rust_2018_idioms come from [workspace.lints]. The lint
+// must not panic on the code it checks; unit tests compile under
+// cfg(test) and stay exempt.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -94,25 +92,6 @@ const DETERMINISM_SCOPES: &[&str] = &[
     "crates/harl/src/",
 ];
 
-/// Library crates swept free of panics (binaries and the bench harness may
-/// still fail fast on user error).
-const PANIC_SCOPES: &[&str] = &[
-    "crates/harl/src/",
-    "crates/simcore/src/",
-    "crates/pfs/src/",
-    "crates/middleware/src/",
-    "crates/workloads/src/",
-    "crates/devices/src/",
-];
-
-/// The Sec. III-D cost-model implementation, held to the strictest
-/// numeric rules.
-const CAST_SCOPES: &[&str] = &[
-    "crates/harl/src/model.rs",
-    "crates/harl/src/optimizer.rs",
-    "crates/harl/src/analysis.rs",
-];
-
 fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes.iter().any(|s| path.starts_with(s))
 }
@@ -143,15 +122,7 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Finding> {
     if in_scope(path, FLOAT_ACC_SCOPES) && !path.ends_with("fold.rs") {
         semantic::float_accumulation(path, &toks, &mask, &lines, &graph, &mut out);
     }
-    if in_scope(path, PANIC_SCOPES) {
-        rules::panic_hygiene(path, &toks, &mask, &lines, &mut out);
-    }
-    if in_scope(path, CAST_SCOPES) {
-        rules::cast_hygiene(path, &toks, &mask, &lines, &mut out);
-        rules::float_eq(path, &toks, &mask, &lines, &mut out);
-    }
     rules::simcontext_first(path, &toks, &mask, &lines, &mut out);
-    rules::recorded_twins(path, &toks, &mask, &lines, &mut out);
     if !path.ends_with("registry.rs") {
         rules::metric_registry(path, &toks, &mask, &lines, &mut out);
     }
@@ -194,25 +165,13 @@ pub fn run(root: &Path, allow_path: &Path) -> Result<Report, String> {
             .map_err(|e| format!("cannot read {}: {e}", allow_path.display()))?;
         allow_entries = allow::parse(&src)?;
     }
-    let known_rules = [
-        rules::RULE_DETERMINISM,
-        rules::RULE_PANIC,
-        rules::RULE_CAST,
-        rules::RULE_FLOAT_EQ,
-        rules::RULE_SIMCONTEXT,
-        rules::RULE_RECORDED,
-        rules::RULE_METRIC,
-        rules::RULE_MAP_ITER,
-        rules::RULE_PAR_MERGE,
-        rules::RULE_FLOAT_ACC,
-    ];
     for e in &allow_entries {
-        if !known_rules.contains(&e.rule.as_str()) {
+        if !rules::RULES.contains(&e.rule.as_str()) {
             return Err(format!(
                 "lint.allow.toml:{}: unknown rule `{}` (known: {})",
                 e.line,
                 e.rule,
-                known_rules.join(", ")
+                rules::RULES.join(", ")
             ));
         }
     }
@@ -305,66 +264,12 @@ pub fn render_human(report: &Report) -> String {
     out
 }
 
-/// Machine-readable report (`--json`). Rendered by hand: the lint crate
-/// stays dependency-free so it can never be broken by the code it checks.
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (id, doc) = rules::rule_doc(&f.rule);
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": {}, \"id\": {}, \"doc\": {}, \"path\": {}, \"line\": {}, \
-             \"message\": {}, \"snippet\": {}, \"allowed\": {}}}",
-            json_str(&f.rule),
-            json_str(id),
-            json_str(doc),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.message),
-            json_str(&f.snippet),
-            f.allowed
-        );
-    }
-    let violations = report.violations().count();
-    let _ = write!(
-        out,
-        "\n  ],\n  \"files_scanned\": {},\n  \"allow_entries\": {},\n  \"violations\": {}\n}}\n",
-        report.files_scanned, report.allow_entries, violations
-    );
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scope_tables_are_prefixes() {
-        assert!(in_scope("crates/harl/src/model.rs", CAST_SCOPES));
-        assert!(!in_scope("crates/harl/src/rst.rs", CAST_SCOPES));
         assert!(in_scope(
             "crates/middleware/src/runtime.rs",
             DETERMINISM_SCOPES
@@ -383,59 +288,16 @@ mod tests {
             DETERMINISM_SCOPES
         ));
         assert!(in_scope("crates/pfs/src/disk.rs", DETERMINISM_SCOPES));
-        assert!(in_scope("crates/pfs/src/disk.rs", PANIC_SCOPES));
         assert!(!in_scope(
             "crates/bench/src/ablations.rs",
             DETERMINISM_SCOPES
         ));
-        assert!(!in_scope("crates/bench/src/bin/harl_cli.rs", PANIC_SCOPES));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn json_output_parses_by_eye() {
-        let report = Report {
-            findings: vec![Finding {
-                rule: "determinism".into(),
-                path: "crates/harl/src/x.rs".into(),
-                line: 3,
-                message: "m".into(),
-                snippet: "let t = Instant::now();".into(),
-                allowed: false,
-            }],
-            files_scanned: 1,
-            allow_entries: 0,
-        };
-        let json = render_json(&report);
-        assert!(json.contains("\"violations\": 1"), "{json}");
-        assert!(json.contains("\"rule\": \"determinism\""), "{json}");
-        assert!(json.contains("\"id\": \"HL001\""), "{json}");
-        assert!(
-            json.contains("\"doc\": \"DESIGN.md#rules-and-scopes\""),
-            "{json}"
-        );
     }
 
     #[test]
     fn every_rule_has_a_doc_id() {
         let mut seen = std::collections::BTreeSet::new();
-        for rule in [
-            rules::RULE_DETERMINISM,
-            rules::RULE_PANIC,
-            rules::RULE_CAST,
-            rules::RULE_FLOAT_EQ,
-            rules::RULE_SIMCONTEXT,
-            rules::RULE_RECORDED,
-            rules::RULE_METRIC,
-            rules::RULE_MAP_ITER,
-            rules::RULE_PAR_MERGE,
-            rules::RULE_FLOAT_ACC,
-            rules::RULE_STALE_ALLOW,
-        ] {
+        for &rule in rules::RULES.iter().chain([&rules::RULE_STALE_ALLOW]) {
             let (id, doc) = rules::rule_doc(rule);
             assert!(id.starts_with("HL"), "{rule}: id {id}");
             assert_ne!(id, "HL999", "{rule} is missing a dedicated id");

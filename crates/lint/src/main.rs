@@ -15,12 +15,11 @@ const USAGE: &str = "\
 harl-lint: project-specific static analysis for the HARL workspace
 
 USAGE:
-    harl-lint [--root PATH] [--allow PATH] [--json]
+    harl-lint [--root PATH] [--allow PATH]
 
 OPTIONS:
     --root PATH     workspace root to scan (default: .)
     --allow PATH    allowlist file (default: <root>/lint.allow.toml)
-    --json          machine-readable output
     -h, --help      this help
 
 EXIT STATUS:
@@ -32,11 +31,9 @@ EXIT STATUS:
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut allow: Option<PathBuf> = None;
-    let mut json = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match argv.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage_error("--root needs a value"),
@@ -55,11 +52,7 @@ fn main() -> ExitCode {
     let allow = allow.unwrap_or_else(|| root.join("lint.allow.toml"));
     match harl_lint::run(&root, &allow) {
         Ok(report) => {
-            if json {
-                print!("{}", harl_lint::render_json(&report));
-            } else {
-                print!("{}", harl_lint::render_human(&report));
-            }
+            print!("{}", harl_lint::render_human(&report));
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::graph::Graph;
+use crate::graph::{fn_signature, matching_brace, matching_paren, Graph};
 use crate::lexer::{Tok, TokKind};
 use crate::rules::{push, RULE_FLOAT_ACC, RULE_MAP_ITER, RULE_PAR_MERGE};
 use crate::Finding;
@@ -80,40 +80,6 @@ fn innermost_containing(loops: &[LoopSpan], pos: usize) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-fn matching_brace(toks: &[Tok], open: usize, hi: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().take(hi).skip(open) {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    hi.saturating_sub(1)
-}
-
-fn matching_paren(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
 /// Bounds `[start, end)` of the statement containing `toks[at]`, clamped
 /// to `lo..hi`. Stops at `;` and at block braces at the statement's own
 /// nesting depth; statements containing block expressions degrade to a
@@ -152,59 +118,6 @@ fn stmt_bounds(toks: &[Tok], at: usize, lo: usize, hi: usize) -> (usize, usize) 
         e += 1;
     }
     (s, e)
-}
-
-/// A function signature: top-level parameter slices plus the parenthesis
-/// span, for name extraction and return-type scanning.
-struct Sig {
-    params: Vec<(usize, usize)>,
-    close: usize,
-}
-
-fn fn_signature(toks: &[Tok], kw: usize, limit: usize) -> Option<Sig> {
-    let name = toks.get(kw + 1)?;
-    if name.kind != TokKind::Ident {
-        return None;
-    }
-    let mut j = kw + 2;
-    if toks.get(j).is_some_and(|t| t.text == "<") {
-        let mut depth = 0i64;
-        while j < limit {
-            match toks[j].text.as_str() {
-                "<" => depth += 1,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            j += 1;
-            if depth <= 0 {
-                break;
-            }
-        }
-    }
-    if toks.get(j).is_none_or(|t| t.text != "(") {
-        return None;
-    }
-    let open = j;
-    let close = matching_paren(toks, open);
-    let mut params = Vec::new();
-    let mut start = open + 1;
-    let mut dp = 0i64;
-    for (k, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
-        match tok.text.as_str() {
-            "(" | "[" | "{" => dp += 1,
-            ")" | "]" | "}" => dp -= 1,
-            "," if dp == 0 => {
-                params.push((start, k));
-                start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < close {
-        params.push((start, close));
-    }
-    Some(Sig { params, close })
 }
 
 /// True when the signature between the parameter close-paren and the body

@@ -174,9 +174,9 @@ impl ClusterConfig {
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    // Documented-precondition panic, allowlisted in lint.allow.toml: ids
-    // come from layouts built against this cluster, and an Option return
-    // would push unwraps into the simulator's per-request hot path.
+    // Documented-precondition panic: ids come from layouts built against
+    // this cluster, and an Option return would push unwraps into the
+    // simulator's per-request hot path.
     #[allow(clippy::panic)]
     pub fn profile_of(&self, id: ServerId) -> &StorageProfile {
         let mut base = 0;

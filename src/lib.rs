@@ -33,12 +33,18 @@
 //! assert!(report.throughput_mib_s() > 0.0);
 //! ```
 
-// missing_docs / rust_2018_idioms come from [workspace.lints]. The
-// cfg_attr tier mirrors harl-lint's panic-hygiene rule at compile time
-// for library code; unit tests compile under cfg(test) and stay exempt.
+// missing_docs / rust_2018_idioms come from [workspace.lints], which also
+// warn on todo!/unimplemented!. Library code must not panic: the cfg_attr
+// tier denies the other four panic lints; unit tests compile under
+// cfg(test) and stay exempt.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
 )]
 
 pub use harl_core as harl;

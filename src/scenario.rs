@@ -61,6 +61,93 @@ pub enum ClusterSpec {
     Tiered(TieredCluster),
 }
 
+impl ClusterSpec {
+    /// Check the cluster can be built: at least one server and one
+    /// compute node, and every named preset known.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Self::Paper => {}
+            Self::Hybrid(h) => {
+                if h.hservers + h.sservers == 0 {
+                    return Err("cluster must have at least one server".into());
+                }
+                if h.compute_nodes == Some(0) {
+                    return Err("cluster must have at least one compute node".into());
+                }
+            }
+            Self::Explicit(c) => {
+                if c.server_count() == 0 {
+                    return Err("cluster must have at least one server".into());
+                }
+                if c.compute_nodes == 0 {
+                    return Err("cluster must have at least one compute node".into());
+                }
+            }
+            Self::Tiered(t) => {
+                if t.tiers.iter().map(|c| c.count).sum::<usize>() == 0 {
+                    return Err("cluster must have at least one server".into());
+                }
+                if t.compute_nodes == Some(0) {
+                    return Err("cluster must have at least one compute node".into());
+                }
+                for tier in &t.tiers {
+                    tier.profile()?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Materialise the cluster.
+    ///
+    /// # Panics
+    /// Panics on a spec [`Self::validate`] rejects.
+    pub fn build(&self) -> ClusterConfig {
+        match self {
+            Self::Paper => ClusterConfig::paper_default(),
+            Self::Hybrid(h) => {
+                let mut c = ClusterConfig::hybrid(h.hservers, h.sservers);
+                if let Some(nodes) = h.compute_nodes {
+                    c = c.with_compute_nodes(nodes);
+                }
+                if let Some(seed) = h.seed {
+                    c = c.with_seed(seed);
+                }
+                c
+            }
+            Self::Explicit(c) => c.clone(),
+            Self::Tiered(t) => {
+                let classes = t
+                    .tiers
+                    .iter()
+                    .map(|tier| {
+                        // Documented precondition: validate() resolves every
+                        // preset first, so an unknown name cannot reach here
+                        // through the JSON entry points.
+                        #[allow(clippy::panic)]
+                        let profile = match tier.profile() {
+                            Ok(p) => p,
+                            Err(reason) => panic!("{reason}"),
+                        };
+                        ServerClass {
+                            count: tier.count,
+                            profile,
+                        }
+                    })
+                    .collect();
+                let mut c = ClusterConfig::tiered(classes);
+                if let Some(nodes) = t.compute_nodes {
+                    c = c.with_compute_nodes(nodes);
+                }
+                if let Some(seed) = t.seed {
+                    c = c.with_seed(seed);
+                }
+                c
+            }
+        }
+    }
+}
+
 /// Geometry knobs for [`ClusterSpec::Hybrid`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HybridCluster {
@@ -294,36 +381,7 @@ impl Scenario {
 
     /// Check the scenario describes a runnable experiment.
     pub fn validate(&self) -> Result<(), String> {
-        match &self.cluster {
-            ClusterSpec::Paper => {}
-            ClusterSpec::Hybrid(h) => {
-                if h.hservers + h.sservers == 0 {
-                    return Err("cluster must have at least one server".into());
-                }
-                if h.compute_nodes == Some(0) {
-                    return Err("cluster must have at least one compute node".into());
-                }
-            }
-            ClusterSpec::Explicit(c) => {
-                if c.server_count() == 0 {
-                    return Err("cluster must have at least one server".into());
-                }
-                if c.compute_nodes == 0 {
-                    return Err("cluster must have at least one compute node".into());
-                }
-            }
-            ClusterSpec::Tiered(t) => {
-                if t.tiers.iter().map(|c| c.count).sum::<usize>() == 0 {
-                    return Err("cluster must have at least one server".into());
-                }
-                if t.compute_nodes == Some(0) {
-                    return Err("cluster must have at least one compute node".into());
-                }
-                for tier in &t.tiers {
-                    tier.profile()?;
-                }
-            }
-        }
+        self.cluster.validate()?;
         match &self.workload {
             WorkloadSpec::Ior(c) => {
                 if c.processes == 0 {
@@ -411,48 +469,7 @@ impl Scenario {
 
     /// Materialise the cluster.
     pub fn build_cluster(&self) -> ClusterConfig {
-        match &self.cluster {
-            ClusterSpec::Paper => ClusterConfig::paper_default(),
-            ClusterSpec::Hybrid(h) => {
-                let mut c = ClusterConfig::hybrid(h.hservers, h.sservers);
-                if let Some(nodes) = h.compute_nodes {
-                    c = c.with_compute_nodes(nodes);
-                }
-                if let Some(seed) = h.seed {
-                    c = c.with_seed(seed);
-                }
-                c
-            }
-            ClusterSpec::Explicit(c) => c.clone(),
-            ClusterSpec::Tiered(t) => {
-                let classes = t
-                    .tiers
-                    .iter()
-                    .map(|tier| {
-                        // Documented precondition: validate() resolves every
-                        // preset first, so an unknown name cannot reach here
-                        // through the JSON entry points.
-                        #[allow(clippy::panic)]
-                        let profile = match tier.profile() {
-                            Ok(p) => p,
-                            Err(reason) => panic!("{reason}"),
-                        };
-                        ServerClass {
-                            count: tier.count,
-                            profile,
-                        }
-                    })
-                    .collect();
-                let mut c = ClusterConfig::tiered(classes);
-                if let Some(nodes) = t.compute_nodes {
-                    c = c.with_compute_nodes(nodes);
-                }
-                if let Some(seed) = t.seed {
-                    c = c.with_seed(seed);
-                }
-                c
-            }
-        }
+        self.cluster.build()
     }
 
     /// Materialise the workload (replay scenarios read their trace here).
@@ -755,26 +772,30 @@ impl ServeSpec {
         if self.traffic.drift_pct > 100 {
             return Err("drift_pct is a percentage (0-100)".into());
         }
-        if self.serve.online.window == 0 {
+        self.cluster.validate()?;
+        let serve = &self.serve;
+        if serve.optimizer.step == 0 {
+            return Err("serve.optimizer.step must be > 0 bytes".into());
+        }
+        if serve.online.optimizer.step == 0 {
+            return Err("serve.online.optimizer.step must be > 0 bytes".into());
+        }
+        if serve.division.fixed_region_size == 0 {
+            return Err("serve.division.fixed_region_size must be > 0 bytes".into());
+        }
+        if serve.online.window == 0 {
             return Err("online window must be positive".into());
+        }
+        let drift = serve.online.drift_ratio;
+        if drift.is_nan() || drift <= 1.0 {
+            return Err("serve.online.drift_ratio must exceed 1".into());
         }
         Ok(())
     }
 
     /// Build the cluster the service models.
     pub fn build_cluster(&self) -> ClusterConfig {
-        // Reuse the Scenario materialisation (same ClusterSpec).
-        Scenario {
-            name: String::new(),
-            cluster: self.cluster.clone(),
-            workload: WorkloadSpec::Ior(IorConfig::paper_default(OpKind::Read, 1 << 20)),
-            policy: PolicySpec::default(),
-            faults: Vec::new(),
-            seed: None,
-            threads: None,
-            collective: None,
-        }
-        .build_cluster()
+        self.cluster.build()
     }
 
     /// Replay the full arrival schedule through a fresh service.

@@ -9,7 +9,7 @@ const STEP: u64 = 4096;
 /// The exact `(s_m, m, s_n, n)` of a request on the paper's 6 + 2 cluster.
 fn server_loads(offset: u64, size: u64, h: u64, s: u64) -> ServerLoads {
     let model = MultiProfileModel::from_cluster(&ClusterConfig::paper_default());
-    ServerLoads::from_classes(&model.class_loads(offset, size, &[h, s]))
+    ServerLoads::from_classes(&CostKernel::new(&model).class_loads(offset, size, &[h, s]))
 }
 
 prop_compose! {
