@@ -1,7 +1,8 @@
 //! Property tests: Algorithm 2's result is the true grid minimum, for
-//! arbitrary small workloads (brute-force verified), and the library's
+//! arbitrary small workloads (brute-force verified), the library's
 //! request cost is the paper's Eqs. 1–8 assembled from a per-server scan,
-//! to the bit, at any class count.
+//! to the bit, at any class count, and the cost floor the searches prune
+//! on never exceeds that cost at any offset.
 
 use harl_core::{
     optimize_region, CostKernel, MultiProfileModel, MultiProfileOptimizer, OptimizerConfig,
@@ -290,5 +291,123 @@ proptest! {
             kernel.request_cost(offset, size, op, widths).to_bits(),
             paper_cost(model, offset, size, op, widths).to_bits()
         );
+    }
+}
+
+/// A K-class model, its widths and one request shape to floor.
+#[derive(Debug)]
+struct FlooredShape {
+    model: MultiProfileModel,
+    widths: Vec<u64>,
+    size: u64,
+    op: OpKind,
+}
+
+prop_compose! {
+    /// 1–4 classes of 0–5 servers with 0–15-unit widths (zero widths and
+    /// empty classes included; at least one server holds data), and a
+    /// request below, at or above the stripe group `G`: multiples of `G`,
+    /// one byte either side of them, and fractions in between.
+    fn floored_shape()(
+        classes in prop::collection::vec((0usize..6, 0usize..4, 0u64..16), 1..5),
+        unit in 0usize..3,
+        shape in 0usize..6,
+        groups in 1u64..5,
+        frac in 0u64..1024,
+        read in any::<bool>(),
+    ) -> FlooredShape {
+        let presets = [hdd_2015_preset(), ssd_2015_preset(), nvme_2020_preset(), object_store_preset()];
+        let unit = [1, 37, 4096][unit];
+        let mut counts: Vec<usize> = classes.iter().map(|&(n, _, _)| n).collect();
+        let mut widths: Vec<u64> = classes.iter().map(|&(_, _, w)| w * unit).collect();
+        if counts.iter().zip(&widths).all(|(&n, &w)| n == 0 || w == 0) {
+            // No capacity: give the first class one server and one unit.
+            counts[0] = counts[0].max(1);
+            widths[0] = unit;
+        }
+        let group: u64 = counts.iter().zip(&widths).map(|(&n, &w)| n as u64 * w).sum();
+        let size = match shape {
+            0 => 1 + frac * (group - 1) / 1024,
+            1 => groups * group - 1,
+            2 => groups * group,
+            3 => groups * group + 1,
+            4 => groups * group + frac * group / 1024,
+            _ => 1 + frac % 16,
+        };
+        let model = MultiProfileModel::new(
+            &NetworkProfile::gigabit_ethernet(),
+            counts
+                .iter()
+                .zip(&classes)
+                .map(|(&n, &(_, p, _))| (n, presets[p].clone()))
+                .collect(),
+        );
+        let op = if read { OpKind::Read } else { OpKind::Write };
+        FlooredShape { model, widths, size, op }
+    }
+}
+
+/// Every residue of a group of at most 4,096 bytes; for larger groups
+/// 4,096 evenly spaced residues plus every stripe edge and the bytes
+/// either side of it.
+fn residues(counts: &[usize], widths: &[u64]) -> Vec<u64> {
+    let group: u64 = counts.iter().zip(widths).map(|(&n, &w)| n as u64 * w).sum();
+    if group <= 4096 {
+        return (0..group).collect();
+    }
+    let mut out: Vec<u64> = (0..4096).map(|i| i * group / 4096).collect();
+    let mut edge = 0u64;
+    for (&n, &w) in counts.iter().zip(widths) {
+        for _ in 0..n {
+            out.extend([edge.saturating_sub(1), edge, edge + 1]);
+            edge += w;
+        }
+    }
+    out.retain(|&r| r < group);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The floor the searches prune on is at most the price at every
+    /// residue of the group, as `f64`, for any class count and both ops.
+    #[test]
+    fn floor_never_exceeds_cost(req in floored_shape()) {
+        let FlooredShape { model, widths, size, op } = &req;
+        let counts: Vec<usize> = model.classes.iter().map(|c| c.count).collect();
+        let kernel = CostKernel::new(model);
+        let floor = kernel.request_floor(*size, *op, widths);
+        prop_assert!(floor >= 0.0);
+        for r in residues(&counts, widths) {
+            let cost = kernel.request_cost(r, *size, *op, widths);
+            prop_assert!(
+                floor <= cost,
+                "floor {floor} above cost {cost} at residue {r} of {req:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn floor_is_tight_on_a_balanced_layout() {
+    // One class of 4 SSDs at 64 KiB: a 2-group request at any residue puts
+    // 128 KiB on every server, which is exactly the floor's balanced split.
+    let model = MultiProfileModel::new(
+        &NetworkProfile::gigabit_ethernet(),
+        vec![(4, ssd_2015_preset())],
+    );
+    let kernel = CostKernel::new(&model);
+    let widths = [64 * 1024];
+    for op in [OpKind::Read, OpKind::Write] {
+        let floor = kernel.request_floor(512 * 1024, op, &widths);
+        for r in [0, 1, 4096, 100_000] {
+            let cost = kernel.request_cost(r, 512 * 1024, op, &widths);
+            assert!(floor <= cost, "{op:?} residue {r}: {floor} > {cost}");
+            assert!(
+                cost - floor <= 1e-9 * cost,
+                "{op:?} residue {r}: {floor} vs {cost}"
+            );
+        }
     }
 }
