@@ -281,3 +281,35 @@ fn impossible_serve_specs_exit_1() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn run_on_a_file_too_small_for_one_request_per_process_exits_1() {
+    use harl_repro::prelude::{
+        AccessOrder, IorConfig, OpKind, Phase, PhasedConfig, Scenario, WorkloadSpec,
+    };
+
+    // 3 processes share 100,000 bytes: 33,333 each, less than one
+    // 65,536-byte request.
+    let dir = inputs("too-small", "{}");
+    let ior = WorkloadSpec::Ior(IorConfig {
+        processes: 3,
+        request_size: 65_536,
+        file_size: 100_000,
+        op: OpKind::Read,
+        order: AccessOrder::Sequential,
+        seed: 1,
+    });
+    let phased = WorkloadSpec::Phased(PhasedConfig {
+        phases: vec![Phase::new(0, 100_000, 65_536, OpKind::Write)],
+        processes: 3,
+        seed: 1,
+    });
+    for (i, workload) in [ior, phased].into_iter().enumerate() {
+        let path = dir.join(format!("scenario-{i}.json"));
+        std::fs::write(&path, Scenario::new(workload).to_json_pretty())
+            .expect("write the scenario");
+        let stderr = expect_exit(&["run", "--scenario", path.to_str().unwrap()], 1);
+        assert!(stderr.contains("33333 bytes"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -390,8 +390,15 @@ impl Scenario {
                 if c.request_size == 0 {
                     return Err("Ior request_size must be > 0".into());
                 }
-                if c.file_size < c.request_size {
-                    return Err("Ior file_size must be >= request_size".into());
+                if c.requests_per_process() == 0 {
+                    return Err(format!(
+                        "Ior file_size {} gives each of {} processes {} bytes, \
+                         less than one {}-byte request",
+                        c.file_size,
+                        c.processes,
+                        c.file_size / c.processes as u64,
+                        c.request_size
+                    ));
                 }
             }
             WorkloadSpec::MultiRegionIor(c) => {
@@ -422,6 +429,16 @@ impl Scenario {
                 }
                 if c.phases.iter().any(|p| p.request_size == 0) {
                     return Err("Phased phases need non-zero request sizes".into());
+                }
+                for (i, p) in c.phases.iter().enumerate() {
+                    let segment = p.len / c.processes as u64;
+                    if segment < p.request_size {
+                        return Err(format!(
+                            "Phased phase {i}: len {} gives each of {} processes {segment} \
+                             bytes, less than one {}-byte request",
+                            p.len, c.processes, p.request_size
+                        ));
+                    }
                 }
             }
             WorkloadSpec::ReplayTrace(path) => {

@@ -106,6 +106,30 @@ fn validation_rejects_impossible_scenarios() {
             })),
             "request_size",
         ),
+        // 3 processes share 100,000 bytes: 33,333 each, less than one
+        // 65,536-byte request.
+        (
+            Scenario::new(WorkloadSpec::Ior(IorConfig {
+                processes: 3,
+                request_size: 65_536,
+                file_size: 100_000,
+                op: OpKind::Read,
+                order: AccessOrder::Sequential,
+                seed: 1,
+            })),
+            "file_size 100000 gives each of 3 processes 33333 bytes",
+        ),
+        (
+            Scenario::new(WorkloadSpec::Phased(PhasedConfig {
+                phases: vec![
+                    Phase::new(0, 1 << 20, 65_536, OpKind::Write),
+                    Phase::new(1 << 20, 100_000, 65_536, OpKind::Read),
+                ],
+                processes: 3,
+                seed: 1,
+            })),
+            "phase 1: len 100000 gives each of 3 processes 33333 bytes",
+        ),
         (base.clone().with_policy(PolicySpec::Fixed(0)), "stripe"),
         // 8 servers × 2^62 bytes: the stripe group would wrap to 0.
         (
