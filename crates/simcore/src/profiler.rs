@@ -193,6 +193,12 @@ mod tests {
         assert_eq!(prof.phase_ns(Phase::Recorder), 0);
     }
 
+    /// Sum `0..steps` one opaque step at a time, so the work cannot be
+    /// folded away.
+    fn burn(steps: u64) -> u64 {
+        (0..steps).map(std::hint::black_box).sum()
+    }
+
     #[test]
     fn nested_scope_is_subtracted_from_outer() {
         let prof = PhaseProfiler::new();
@@ -200,8 +206,10 @@ mod tests {
             let _outer = prof.scope(Phase::DeviceService);
             {
                 let _inner = prof.scope(Phase::Recorder);
-                // Burn noticeably more time inside than outside.
-                std::hint::black_box((0..200_000).sum::<u64>());
+                // Burn noticeably more time inside than outside. Each step
+                // goes through black_box: an optimised build would fold a
+                // plain range sum to a constant and burn nothing.
+                burn(200_000);
             }
         }
         let outer = prof.phase_ns(Phase::DeviceService);
@@ -221,7 +229,7 @@ mod tests {
             let _outer = prof.scope(Phase::QueueDrain);
             for _ in 0..3 {
                 let _inner = prof.scope(Phase::Recorder);
-                std::hint::black_box((0..50_000).sum::<u64>());
+                burn(50_000);
             }
         }
         let outer = prof.phase_ns(Phase::QueueDrain);
