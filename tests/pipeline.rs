@@ -163,7 +163,9 @@ fn lowered_trace_lists_the_requests_translation_issues() {
     use harl_repro::pfs::Step;
     let cluster = ClusterConfig::paper_default();
     let ccfg = CollectiveConfig::default();
-    for processes in [4, 9, 16] {
+    // 64 processes is the paper's largest Fig. 12 count: a six-level
+    // merge tree over 2×2-cell blocks of the grid-16 array.
+    for processes in [4, 9, 16, 64] {
         let cfg = BtioConfig::tiny(processes);
         let w = cfg.build();
         let trace = collect_trace_lowered(&cluster, &w, &ccfg);
