@@ -285,7 +285,8 @@ fn impossible_serve_specs_exit_1() {
 #[test]
 fn run_on_a_file_too_small_for_one_request_per_process_exits_1() {
     use harl_repro::prelude::{
-        AccessOrder, IorConfig, OpKind, Phase, PhasedConfig, Scenario, WorkloadSpec,
+        AccessOrder, IorConfig, MultiRegionIorConfig, OpKind, Phase, PhasedConfig, Scenario,
+        WorkloadSpec,
     };
 
     // 3 processes share 100,000 bytes: 33,333 each, less than one
@@ -304,7 +305,13 @@ fn run_on_a_file_too_small_for_one_request_per_process_exits_1() {
         processes: 3,
         seed: 1,
     });
-    for (i, workload) in [ior, phased].into_iter().enumerate() {
+    let multi_region = WorkloadSpec::MultiRegionIor(MultiRegionIorConfig {
+        regions: vec![(100_000, 65_536)],
+        processes: 3,
+        op: OpKind::Read,
+        seed: 1,
+    });
+    for (i, workload) in [ior, phased, multi_region].into_iter().enumerate() {
         let path = dir.join(format!("scenario-{i}.json"));
         std::fs::write(&path, Scenario::new(workload).to_json_pretty())
             .expect("write the scenario");

@@ -130,6 +130,15 @@ fn validation_rejects_impossible_scenarios() {
             })),
             "phase 1: len 100000 gives each of 3 processes 33333 bytes",
         ),
+        (
+            Scenario::new(WorkloadSpec::MultiRegionIor(MultiRegionIorConfig {
+                regions: vec![(1 << 20, 65_536), (100_000, 65_536)],
+                processes: 3,
+                op: OpKind::Read,
+                seed: 1,
+            })),
+            "region 1: len 100000 gives each of 3 processes 33333 bytes",
+        ),
         (base.clone().with_policy(PolicySpec::Fixed(0)), "stripe"),
         // 8 servers × 2^62 bytes: the stripe group would wrap to 0.
         (
