@@ -21,10 +21,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== cargo test --release (core and simcore) =="
-# The optimizer and floor oracles, with the code generation harl-cli and
-# the benchmark use; some timing tests only show their faults here.
-cargo test --release -q -p harl-core -p harl-simcore
+echo "== cargo test --release (core, simcore and middleware) =="
+# The optimizer, floor and collective-lowering oracles, with the code
+# generation harl-cli and the benchmark use; some timing tests only show
+# their faults here.
+cargo test --release -q -p harl-core -p harl-simcore -p harl-middleware
 
 echo "== benchmark package tests =="
 # benchmark/ is its own cargo package (empty [workspace]), so the
