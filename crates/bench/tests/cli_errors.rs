@@ -272,6 +272,9 @@ fn impossible_serve_specs_exit_1() {
             "serve.online.drift_ratio",
             edited(&|s| s.serve.online.drift_ratio = 1.0),
         ),
+        // An 8 MiB phase shared by 4,096 processes leaves each 2 KiB,
+        // less than the smallest (4 KiB) request.
+        ("traffic.processes", edited(&|s| s.traffic.processes = 4096)),
     ];
     for (i, (needle, spec)) in cases.iter().enumerate() {
         let path = dir.join(format!("serve-{i}.json"));

@@ -22,6 +22,10 @@ use serde::{Deserialize, Serialize};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
+/// Floor of a template phase's file area.
+const MIN_PHASE_AREA: u64 = 4 * MB;
+/// Floor of a phased template's request size.
+const MIN_REQUEST: u64 = 4 * KB;
 
 /// A deterministic multi-tenant traffic specification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,6 +109,25 @@ impl TrafficConfig {
         out
     }
 
+    /// Fails when a phased template cannot give each process one request.
+    /// [`build_workload`](Self::build_workload) raises the phase area to
+    /// at least 4 MiB and the request size to at least 4 KiB, so more than
+    /// `area / 4 KiB` processes leave each a share below the smallest
+    /// request (and the phased generator would panic).
+    pub fn check_processes(&self) -> Result<(), String> {
+        let area = self.base_bytes.max(MIN_PHASE_AREA);
+        let share = area / self.processes.max(1) as u64;
+        if share < MIN_REQUEST {
+            return Err(format!(
+                "traffic.processes {} share a {area}-byte phase at {share} bytes each, \
+                 less than one {MIN_REQUEST}-byte request (at most {} processes)",
+                self.processes,
+                area / MIN_REQUEST
+            ));
+        }
+        Ok(())
+    }
+
     /// Materialise one job: the workload its tenant submits plus the
     /// logical file size to plan for. Pure in `(self, job.template,
     /// job.drifted)` — re-arrivals of the same template replay the exact
@@ -117,7 +140,7 @@ impl TrafficConfig {
     /// re-plan sweet spot.
     pub fn build_workload(&self, job: &TrafficJob) -> (Workload, u64) {
         let t = job.template;
-        let unit = self.base_bytes.max(4 * MB);
+        let unit = self.base_bytes.max(MIN_PHASE_AREA);
         let processes = self.processes.max(1);
         if t % BTIO_EVERY == BTIO_SLOT {
             // Collective BTIO-style dump (plan-only traffic: the tracing
@@ -155,7 +178,7 @@ impl TrafficConfig {
                 rs *= 2;
             }
             // Every process must fit at least one request in its segment.
-            rs = rs.min(segment.max(4 * KB));
+            rs = rs.min(segment.max(MIN_REQUEST));
             let op = if (t + p).is_multiple_of(2) {
                 OpKind::Read
             } else {
@@ -273,6 +296,29 @@ mod tests {
             v
         };
         assert_eq!(head(&ta), head(&tb), "pre-tail phases must be identical");
+    }
+
+    #[test]
+    fn process_check_matches_what_builds() {
+        // A 4 MiB floor area over 4 KiB requests holds 1,024 processes.
+        for (base_bytes, most) in [(MB, 1024), (8 * MB, 2048)] {
+            let at = |processes| TrafficConfig {
+                processes,
+                base_bytes,
+                ..TrafficConfig::default()
+            };
+            assert_eq!(at(most).check_processes(), Ok(()));
+            let err = at(most + 1).check_processes().unwrap_err();
+            assert!(err.contains("traffic.processes"), "{err}");
+            let job = TrafficJob {
+                tick: 0,
+                tenant: 0,
+                template: 0,
+                drifted: true,
+            };
+            let (w, size) = at(most).build_workload(&job);
+            assert!(size >= w.extent());
+        }
     }
 
     #[test]
