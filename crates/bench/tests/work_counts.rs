@@ -242,5 +242,12 @@ fn serve_counts() {
             (submissions as u64, 0, planned, hits, stale, misses),
             "{tenants} tenants: (submits, reused, planned, hits, stale, misses)"
         );
+        // Every region a miss or stale refresh considers is looked up in
+        // the region pool, so its hits and misses are the reuse split.
+        assert_eq!(
+            stats.region_pool,
+            (stats.regions_reused, stats.regions_planned),
+            "{tenants} tenants: region pool (hits, misses)"
+        );
     }
 }
