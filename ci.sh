@@ -27,6 +27,13 @@ echo "== cargo test --release (core, simcore and middleware) =="
 # their faults here.
 cargo test --release -q -p harl-core -p harl-simcore -p harl-middleware
 
+echo "== examples (release) =="
+# Each example asserts on its own narrative (the monitor and planning
+# paths among them); clippy above only compiles them.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "== benchmark package tests =="
 # benchmark/ is its own cargo package (empty [workspace]), so the
 # workspace test run above does not reach it.
