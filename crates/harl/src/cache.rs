@@ -1,42 +1,37 @@
 //! Plan caching and incremental re-planning.
 //!
-//! Three deterministic reuse tiers. The region-level tiers (1 and 3) are
-//! bit-identical to the uncached computation they replace; the
-//! whole-plan tier (2) is exact for resubmissions of the same trace but
-//! *approximate* across distinct traces — see below.
+//! [`plan_file`] is the one whole-file planning path (Algorithm 1, then
+//! Algorithm 2 per region, then the RST merge), behind both
+//! [`crate::policy::HarlPolicy`] and the planning service. Two caches sit
+//! in front of it:
 //!
-//! 1. [`plan_file`] — the whole-file planning pipeline behind
-//!    [`crate::policy::HarlPolicy`], factored out so it can optionally
-//!    consult a reuse table of per-region grid results. With `reuse =
-//!    None` it is exactly the old `HarlPolicy::plan` body (no keys are
-//!    even computed); with a reuse table, regions whose [`RegionPlanKey`]
-//!    matches a cached [`LayoutChoice`] skip Algorithm 2 entirely.
+//! 1. [`RegionPlanCache`] — a pool of per-region search results keyed by
+//!    [`RegionPlanKey`], the region's exact search input. Given a pool,
+//!    `plan_file` looks every region up before the search and banks every
+//!    region's result after it. A hit is bit-identical to the search it
+//!    skips. Without a pool no key is computed.
 //! 2. [`PlanCache`] — whole-plan memoisation keyed by
 //!    [`WorkloadFingerprint`], with deterministic LRU eviction (logical
 //!    clock, ties broken by fingerprint order) and hit/miss/stale
-//!    accounting. A stale entry (invalidated after online adaptation)
-//!    still donates its per-region grid results for incremental re-use.
-//!    The fingerprint is a lossy digest (log-bucketed counts, 5% write
-//!    buckets, grid-rounded averages): equal traces always produce equal
-//!    fingerprints, so a resubmission hit is bit-identical to re-planning
-//!    that trace, but two *different* traces can bucket identically and
-//!    then share the first submitter's plan — approximate workload
-//!    matching by design, trading exactness for fleet-wide reuse.
-//! 3. [`RegionPlanCache`] — the cross-tenant pool of per-region grid
-//!    results, LRU-bounded the same way.
+//!    accounting. The fingerprint is a lossy digest (log-bucketed counts,
+//!    5% write buckets, grid-rounded averages): equal traces always produce
+//!    equal fingerprints, so a resubmission hit is bit-identical to
+//!    re-planning that trace, but two *different* traces can bucket
+//!    identically and then share the first submitter's plan — approximate
+//!    workload matching by design, trading exactness for fleet-wide reuse.
 //!
-//! The safety argument for bitwise equality covers the region tiers
-//! only, and it is structural, not statistical: a [`RegionPlanKey`] is
-//! the *exact* input of one
-//! `optimize_region` call — the deterministic stride sample of the
-//! region's requests (region-relative offsets, sizes, ops), the average
-//! request size, and the grid geometry (`step`, `max_grid_points`).
-//! `optimize_region` is a pure function of those inputs plus the model,
-//! so replaying a cached result can never differ from recomputing it.
-//! Thread budgets are deliberately excluded from the key: planning is
-//! thread-count invariant (pinned by tests since PR 2). Caches are scoped
-//! to one cost model — callers mixing models must segregate caches (the
-//! fingerprint's class tags enforce this at the [`PlanCache`] tier).
+//! The safety argument for bitwise equality covers the region pool only,
+//! and it is structural, not statistical: a [`RegionPlanKey`] is the
+//! *exact* input of one `optimize_region` call — the deterministic stride
+//! sample of the region's requests (region-relative offsets, sizes, ops),
+//! the average request size, and the grid geometry (`step`,
+//! `max_grid_points`). `optimize_region` is a pure function of those
+//! inputs plus the model, so replaying a cached result can never differ
+//! from recomputing it. Thread budgets are deliberately excluded from the
+//! key: a region's search runs on one thread whatever the budget. Caches
+//! are scoped to one cost model — callers mixing models must segregate
+//! caches (the fingerprint's class tags enforce this at the [`PlanCache`]
+//! tier).
 
 // Index/iteration hygiene, ratcheted to deny: cache reuse must replay
 // regions in canonical order, and an indexed loop is where an off-by-one
@@ -52,7 +47,7 @@
 use crate::fingerprint::WorkloadFingerprint;
 use crate::multiprofile::MultiProfileModel;
 use crate::optimizer::{optimize_region, LayoutChoice, OptimizerConfig, RegionRequests};
-use crate::region::{divide_regions, RegionDivisionConfig};
+use crate::region::{divide_regions, Region, RegionDivisionConfig};
 use crate::rst::{RegionStripeTable, RstEntry};
 use crate::trace::TraceRecord;
 use harl_devices::OpKind;
@@ -88,7 +83,7 @@ pub struct RegionPlanKey {
 }
 
 /// Build the [`RegionPlanKey`] for one region's grid search.
-pub(crate) fn region_plan_key(
+fn region_plan_key(
     reqs: &RegionRequests<'_>,
     avg_request_size: u64,
     cfg: &OptimizerConfig,
@@ -109,22 +104,14 @@ pub(crate) fn region_plan_key(
     }
 }
 
-/// A reuse table of per-region grid results, keyed by exact search input.
-pub type PlanReuse = BTreeMap<RegionPlanKey, LayoutChoice>;
-
 /// The result of planning one file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedFile {
     /// The merged region stripe table (what `HarlPolicy::plan` returns).
     pub rst: RegionStripeTable,
-    /// Per-region grid results in pre-merge region order, with their keys
-    /// — feed these back into a [`RegionPlanCache`] or the next re-plan's
-    /// reuse table. Empty when planning ran without reuse (`reuse =
-    /// None`), where key computation is skipped entirely.
-    pub region_plans: Vec<(RegionPlanKey, LayoutChoice)>,
-    /// Regions answered from the reuse table.
+    /// Regions answered from the pool.
     pub reused: usize,
-    /// Regions whose grid search actually ran.
+    /// Regions whose search ran.
     pub planned: usize,
 }
 
@@ -133,9 +120,11 @@ pub struct PlannedFile {
 /// adjacent-row merge.
 ///
 /// `sorted` must be offset-sorted (from
-/// [`crate::trace::Trace::sorted_by_offset`]). With `reuse = Some(table)`,
-/// regions whose [`RegionPlanKey`] hits the table clone the cached choice
-/// instead of searching — bit-identical output either way.
+/// [`crate::trace::Trace::sorted_by_offset`]). With a `pool`, every
+/// region's [`RegionPlanKey`] is looked up in region order before the
+/// fan-out, so the pool's LRU clock moves the same way at any thread
+/// count; a hit skips the region's search, and every region's result is
+/// banked afterwards. The table is bit-identical with or without a pool.
 pub fn plan_file(
     ctx: &SimContext,
     model: &MultiProfileModel,
@@ -143,126 +132,63 @@ pub fn plan_file(
     file_size: u64,
     division: &RegionDivisionConfig,
     optimizer: &OptimizerConfig,
-    reuse: Option<&PlanReuse>,
-) -> PlannedFile {
-    match reuse {
-        None => plan_cold(ctx, model, sorted, file_size, division, optimizer),
-        Some(table) => plan_file_with(ctx, model, sorted, file_size, division, optimizer, |key| {
-            table.get(key).cloned()
-        }),
-    }
-}
-
-/// The zero-overhead path: exactly the pre-cache planning pipeline, no
-/// key computation, no per-region bookkeeping.
-fn plan_cold(
-    ctx: &SimContext,
-    model: &MultiProfileModel,
-    sorted: &[TraceRecord],
-    file_size: u64,
-    division: &RegionDivisionConfig,
-    optimizer: &OptimizerConfig,
+    mut pool: Option<&mut RegionPlanCache>,
 ) -> PlannedFile {
     let regions = divide_regions(sorted, file_size, division);
+    let requests = |region: &Region| {
+        RegionRequests::new(
+            &sorted[region.first_request..region.last_request],
+            region.offset,
+        )
+    };
+    let lookups: Vec<(RegionPlanKey, Option<LayoutChoice>)> = match pool.as_deref_mut() {
+        Some(pool) => regions
+            .iter()
+            .map(|region| {
+                let key = region_plan_key(&requests(region), region.avg_request_size, optimizer);
+                let hit = pool.get(&key);
+                (key, hit)
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+    let reused = lookups.iter().filter(|(_, hit)| hit.is_some()).count();
     // One thread budget for the whole plan (the context override, else the
-    // caller's config): with several regions the fan-out is region-level
-    // (coarse, cache-friendly) and each region's grid search runs
-    // sequentially; a single region keeps the budget for its inner grid
-    // chunking. Either way each region's result is computed independently
-    // and lands in its own slot, so the table is identical for every
-    // thread count.
-    let budget = ctx.threads_or(optimizer.threads);
-    let outer = budget.min(regions.len().max(1));
-    let inner = OptimizerConfig {
-        threads: if outer > 1 { 1 } else { budget },
-        ..optimizer.clone()
-    };
-    let planned = regions.len();
-    let entries = crate::optimizer::fan_out(regions.len(), outer, |i| {
-        let region = &regions[i];
-        let records = &sorted[region.first_request..region.last_request];
-        let reqs = RegionRequests::new(records, region.offset);
-        let choice = optimize_region(ctx, model, &reqs, region.avg_request_size, &inner, i);
-        RstEntry::new(region.offset, region.len(), choice.widths)
-    });
-    let mut table = RegionStripeTable::new(entries);
-    table.merge_adjacent();
-    PlannedFile {
-        rst: table,
-        region_plans: Vec::new(),
-        reused: 0,
-        planned,
-    }
-}
-
-/// [`plan_file`] with an arbitrary (possibly stateful) reuse lookup —
-/// the planning-service entry point, where one submit chains lookups
-/// through the tenant's previous plan, a stale cache entry, and the
-/// cross-tenant region pool.
-///
-/// The lookup runs sequentially in region order *before* the fan-out, so
-/// a `FnMut` closure (e.g. one that bumps LRU clocks) stays deterministic
-/// at any thread count.
-pub fn plan_file_with(
-    ctx: &SimContext,
-    model: &MultiProfileModel,
-    sorted: &[TraceRecord],
-    file_size: u64,
-    division: &RegionDivisionConfig,
-    optimizer: &OptimizerConfig,
-    mut lookup: impl FnMut(&RegionPlanKey) -> Option<LayoutChoice>,
-) -> PlannedFile {
-    let regions = divide_regions(sorted, file_size, division);
-    let budget = ctx.threads_or(optimizer.threads);
-    let outer = budget.min(regions.len().max(1));
-    let inner = OptimizerConfig {
-        threads: if outer > 1 { 1 } else { budget },
-        ..optimizer.clone()
-    };
-    let keys: Vec<RegionPlanKey> = regions
-        .iter()
-        .map(|region| {
-            let records = &sorted[region.first_request..region.last_request];
-            let reqs = RegionRequests::new(records, region.offset);
-            region_plan_key(&reqs, region.avg_request_size, optimizer)
-        })
-        .collect();
-    let cached: Vec<Option<LayoutChoice>> = keys.iter().map(&mut lookup).collect();
-    let reused = cached.iter().filter(|c| c.is_some()).count();
-    let choices = crate::optimizer::fan_out(regions.len(), outer, |i| {
-        if let Some(choice) = &cached[i] {
-            choice.clone()
-        } else {
-            let region = &regions[i];
-            let records = &sorted[region.first_request..region.last_request];
-            let reqs = RegionRequests::new(records, region.offset);
-            optimize_region(ctx, model, &reqs, region.avg_request_size, &inner, i)
+    // caller's config), spent on the region fan-out; each region's result
+    // lands in its own slot, so the table is identical for every budget.
+    let threads = ctx.threads_or(optimizer.threads);
+    let choices = crate::optimizer::fan_out(regions.len(), threads, |i| {
+        if let Some((_, Some(choice))) = lookups.get(i) {
+            return choice.clone();
         }
+        let region = &regions[i];
+        optimize_region(
+            ctx,
+            model,
+            &requests(region),
+            region.avg_request_size,
+            optimizer,
+            i,
+        )
     });
+    if let Some(pool) = pool {
+        // Banking a reused key again refreshes its recency.
+        for ((key, _), choice) in lookups.into_iter().zip(&choices) {
+            pool.insert(key, choice.clone());
+        }
+    }
     let entries = regions
         .iter()
-        .zip(&choices)
-        .map(|(region, choice)| RstEntry::new(region.offset, region.len(), choice.widths.clone()))
+        .zip(choices)
+        .map(|(region, choice)| RstEntry::new(region.offset, region.len(), choice.widths))
         .collect();
     let mut table = RegionStripeTable::new(entries);
     table.merge_adjacent();
-    let planned = regions.len() - reused;
     PlannedFile {
         rst: table,
-        region_plans: keys.into_iter().zip(choices).collect(),
         reused,
-        planned,
+        planned: regions.len() - reused,
     }
-}
-
-/// A whole-file plan as stored in the [`PlanCache`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedPlan {
-    /// The merged RST to hand back on a hit.
-    pub rst: RegionStripeTable,
-    /// The pre-merge per-region grid results (for incremental reuse when
-    /// the entry later goes stale).
-    pub region_plans: Vec<(RegionPlanKey, LayoutChoice)>,
 }
 
 /// Hit/miss accounting for a [`PlanCache`].
@@ -293,18 +219,17 @@ impl CacheStats {
 /// Outcome of a [`PlanCache::lookup`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheLookup {
-    /// A live plan; use its RST as-is.
-    Hit(CachedPlan),
-    /// An invalidated plan, removed from the cache on the way out; its
-    /// per-region grid results are still sound reuse candidates.
-    Stale(CachedPlan),
+    /// A live plan; use it as-is.
+    Hit(RegionStripeTable),
+    /// An invalidated plan, removed from the cache on the way out.
+    Stale,
     /// Nothing cached for this fingerprint.
     Miss,
 }
 
 #[derive(Debug, Clone)]
 struct PlanSlot {
-    plan: CachedPlan,
+    rst: RegionStripeTable,
     last_used: u64,
     stale: bool,
 }
@@ -363,13 +288,13 @@ impl PlanCache {
             Some(slot) if !slot.stale => {
                 slot.last_used = self.clock;
                 self.stats.hits += 1;
-                CacheLookup::Hit(slot.plan.clone())
+                CacheLookup::Hit(slot.rst.clone())
             }
             Some(_) => {
                 self.stats.stale += 1;
                 // Remove on the way out: the caller re-plans and re-inserts.
-                let slot = self.entries.remove(fp);
-                slot.map_or(CacheLookup::Miss, |s| CacheLookup::Stale(s.plan))
+                self.entries.remove(fp);
+                CacheLookup::Stale
             }
             None => {
                 self.stats.misses += 1;
@@ -379,7 +304,7 @@ impl PlanCache {
     }
 
     /// Insert (or refresh) a plan, evicting LRU entries past capacity.
-    pub fn insert(&mut self, fp: WorkloadFingerprint, plan: CachedPlan) {
+    pub fn insert(&mut self, fp: WorkloadFingerprint, rst: RegionStripeTable) {
         if self.capacity == 0 {
             return;
         }
@@ -388,7 +313,7 @@ impl PlanCache {
         self.entries.insert(
             fp,
             PlanSlot {
-                plan,
+                rst,
                 last_used: clock,
                 stale: false,
             },
@@ -419,8 +344,9 @@ impl PlanCache {
     }
 }
 
-/// Cross-tenant pool of per-region grid results, LRU-bounded like
-/// [`PlanCache`].
+/// Pool of per-region grid results keyed by exact search input,
+/// LRU-bounded like [`PlanCache`]; the planning service shares one across
+/// tenants.
 #[derive(Debug, Clone)]
 pub struct RegionPlanCache {
     entries: BTreeMap<RegionPlanKey, (LayoutChoice, u64)>,
@@ -557,12 +483,11 @@ mod tests {
             None,
         );
         assert_eq!(cold.rst, via_policy);
-        assert!(cold.region_plans.is_empty(), "cold path computes no keys");
         assert_eq!(cold.reused, 0);
     }
 
     #[test]
-    fn empty_reuse_table_is_bit_identical_to_cold() {
+    fn empty_pool_is_bit_identical_to_cold() {
         let (trace, file_size) = multi_phase_trace();
         let m = model();
         let sorted = trace.sorted_by_offset();
@@ -570,35 +495,29 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let ctx = SimContext::new();
         let cold = plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, None);
-        let empty = PlanReuse::new();
-        let warm = plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, Some(&empty));
+        let mut pool = RegionPlanCache::new(64);
+        let warm = plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, Some(&mut pool));
         assert_eq!(warm.rst, cold.rst);
         assert_eq!(warm.reused, 0);
-        assert_eq!(warm.planned, warm.region_plans.len());
+        assert_eq!(warm.planned, cold.planned);
+        assert_eq!(pool.stats(), (0, cold.planned as u64));
     }
 
     #[test]
-    fn full_reuse_skips_every_search_and_matches() {
+    fn warmed_pool_skips_every_search_and_matches() {
         let (trace, file_size) = multi_phase_trace();
         let m = model();
         let sorted = trace.sorted_by_offset();
         let div = division();
         let cfg = OptimizerConfig::default();
         let ctx = SimContext::new();
-        let first = plan_file(
-            &ctx,
-            &m,
-            &sorted,
-            file_size,
-            &div,
-            &cfg,
-            Some(&PlanReuse::new()),
-        );
-        let reuse: PlanReuse = first.region_plans.iter().cloned().collect();
-        let second = plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, Some(&reuse));
-        assert_eq!(second.rst, first.rst);
-        assert_eq!(second.planned, 0, "every region should come from reuse");
-        assert_eq!(second.reused, second.region_plans.len());
+        let cold = plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, None);
+        let mut pool = RegionPlanCache::new(64);
+        plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, Some(&mut pool));
+        let second = plan_file(&ctx, &m, &sorted, file_size, &div, &cfg, Some(&mut pool));
+        assert_eq!(second.rst, cold.rst);
+        assert_eq!(second.planned, 0, "every region should come from the pool");
+        assert_eq!(second.reused, cold.planned);
     }
 
     #[test]
@@ -615,19 +534,13 @@ mod tests {
             file_size,
             &div,
             &OptimizerConfig::default(),
-            Some(&PlanReuse::new()),
+            None,
         );
         let mut cache = PlanCache::new(8);
         assert_eq!(cache.lookup(&fp), CacheLookup::Miss);
-        cache.insert(
-            fp.clone(),
-            CachedPlan {
-                rst: cold.rst.clone(),
-                region_plans: cold.region_plans.clone(),
-            },
-        );
+        cache.insert(fp.clone(), cold.rst.clone());
         match cache.lookup(&fp) {
-            CacheLookup::Hit(plan) => assert_eq!(plan.rst, cold.rst),
+            CacheLookup::Hit(rst) => assert_eq!(rst, cold.rst),
             other => panic!("expected hit, got {other:?}"),
         }
         let stats = cache.stats();
@@ -651,10 +564,7 @@ mod tests {
                 .collect();
             fingerprint_sorted(&records, 8 * size, &div, &m)
         };
-        let plan = CachedPlan {
-            rst: RegionStripeTable::uniform(MB, vec![64 * KB, 64 * KB]),
-            region_plans: Vec::new(),
-        };
+        let plan = RegionStripeTable::uniform(MB, vec![64 * KB, 64 * KB]);
         let mut cache = PlanCache::new(2);
         let (a, b, c) = (fp(64 * KB), fp(128 * KB), fp(256 * KB));
         cache.insert(a.clone(), plan.clone());
@@ -677,10 +587,7 @@ mod tests {
         let mut cache = PlanCache::new(0);
         cache.insert(
             fp.clone(),
-            CachedPlan {
-                rst: RegionStripeTable::uniform(MB, vec![64 * KB, 64 * KB]),
-                region_plans: Vec::new(),
-            },
+            RegionStripeTable::uniform(MB, vec![64 * KB, 64 * KB]),
         );
         assert_eq!(cache.lookup(&fp), CacheLookup::Miss);
         assert!(cache.is_empty());
@@ -694,14 +601,11 @@ mod tests {
         let mut cache = PlanCache::new(4);
         cache.insert(
             fp.clone(),
-            CachedPlan {
-                rst: RegionStripeTable::uniform(MB, vec![64 * KB, 64 * KB]),
-                region_plans: Vec::new(),
-            },
+            RegionStripeTable::uniform(MB, vec![64 * KB, 64 * KB]),
         );
         assert!(cache.invalidate(&fp));
         assert!(!cache.invalidate(&fp), "double invalidation is a no-op");
-        assert!(matches!(cache.lookup(&fp), CacheLookup::Stale(_)));
+        assert_eq!(cache.lookup(&fp), CacheLookup::Stale);
         assert!(matches!(cache.lookup(&fp), CacheLookup::Miss));
         let stats = cache.stats();
         assert_eq!((stats.stale, stats.misses), (1, 1));

@@ -80,8 +80,8 @@ pub mod trace;
 
 pub use analysis::{size_histogram, summarize, summarize_records, TraceSummary};
 pub use cache::{
-    plan_file, plan_file_with, CacheLookup, CacheStats, CachedPlan, PlanCache, PlanReuse,
-    PlannedFile, RegionPlanCache, RegionPlanKey, SampledReq,
+    plan_file, CacheLookup, CacheStats, PlanCache, PlannedFile, RegionPlanCache, RegionPlanKey,
+    SampledReq,
 };
 pub use errors::LoadError;
 pub use fingerprint::{

@@ -238,11 +238,7 @@ impl LayoutPolicy for ServerLevelPolicy {
             (sorted.iter().map(|r| r.size).sum::<u64>() / sorted.len() as u64).max(1)
         };
         let reqs = RegionRequests::new(&sorted, 0);
-        let cfg = OptimizerConfig {
-            threads: ctx.threads_or(self.optimizer.threads),
-            ..self.optimizer.clone()
-        };
-        let choice = optimize_region(ctx, &self.model, &reqs, avg, &cfg, 0);
+        let choice = optimize_region(ctx, &self.model, &reqs, avg, &self.optimizer, 0);
         RegionStripeTable::uniform(file_size, choice.widths)
     }
 
@@ -277,8 +273,8 @@ impl HarlPolicy {
 impl LayoutPolicy for HarlPolicy {
     fn plan(&self, ctx: &SimContext, trace: &Trace, file_size: u64) -> RegionStripeTable {
         let sorted = trace.sorted_by_offset();
-        // The shared whole-file pipeline; `reuse = None` is the exact
-        // pre-cache planning path (no fingerprinting, no key computation).
+        // The shared whole-file pipeline, without a pool: no fingerprint
+        // and no region key is computed.
         crate::cache::plan_file(
             ctx,
             &self.model,

@@ -1,11 +1,10 @@
 //! Property and determinism tests for the plan cache stack: fingerprints
-//! are byte-stable across thread counts, cache hits are bit-identical to
-//! cold plans, and incremental re-planning with every region dirty equals
-//! the full re-plan exactly.
+//! are byte-stable across thread counts, and planning through a region
+//! pool, empty or warm, equals the cold plan exactly.
 
 use harl_core::{
-    fingerprint_sorted, plan_file, MultiProfileModel, OptimizerConfig, PlanReuse,
-    RegionDivisionConfig, TraceRecord,
+    fingerprint_sorted, plan_file, MultiProfileModel, OptimizerConfig, RegionDivisionConfig,
+    RegionPlanCache, TraceRecord,
 };
 use harl_devices::OpKind;
 use harl_pfs::ClusterConfig;
@@ -61,27 +60,26 @@ fn optimizer() -> OptimizerConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Incremental re-planning under full dirtiness — an empty reuse table,
-    /// so every region recomputes — must equal the full re-plan bitwise:
-    /// same merged RST, and each per-region choice identical.
+    /// Planning through an empty pool — every region misses and searches —
+    /// must equal the cold plan bitwise, and a pool warmed by that plan
+    /// reproduces it without running a single search.
     #[test]
-    fn all_dirty_incremental_equals_full_replan((records, file_size) in phased_workload()) {
+    fn empty_and_warm_pools_equal_the_cold_plan((records, file_size) in phased_workload()) {
         let m = model();
         let ctx = SimContext::new();
         let mut sorted = records;
         sorted.sort_by_key(|r| r.offset);
-        let full = plan_file(&ctx, &m, &sorted, file_size, &division(), &optimizer(), None);
-        let empty = PlanReuse::new();
-        let dirty = plan_file(&ctx, &m, &sorted, file_size, &division(), &optimizer(), Some(&empty));
-        prop_assert_eq!(&dirty.rst, &full.rst);
-        prop_assert_eq!(dirty.reused, 0);
+        let cold = plan_file(&ctx, &m, &sorted, file_size, &division(), &optimizer(), None);
+        let mut pool = RegionPlanCache::new(64);
+        let empty = plan_file(&ctx, &m, &sorted, file_size, &division(), &optimizer(), Some(&mut pool));
+        prop_assert_eq!(&empty.rst, &cold.rst);
+        prop_assert_eq!(empty.reused, 0);
+        prop_assert_eq!(empty.planned, cold.planned);
 
-        // And a fully-warm table reproduces the same plan without running
-        // a single grid search.
-        let reuse: PlanReuse = dirty.region_plans.iter().cloned().collect();
-        let warm = plan_file(&ctx, &m, &sorted, file_size, &division(), &optimizer(), Some(&reuse));
-        prop_assert_eq!(&warm.rst, &full.rst);
+        let warm = plan_file(&ctx, &m, &sorted, file_size, &division(), &optimizer(), Some(&mut pool));
+        prop_assert_eq!(&warm.rst, &cold.rst);
         prop_assert_eq!(warm.planned, 0);
+        prop_assert_eq!(warm.reused, cold.planned);
     }
 
     /// The fingerprint is a pure function of the trace: identical bytes at
@@ -106,25 +104,29 @@ proptest! {
         }
     }
 
-    /// Planning itself stays thread-count invariant through the cache
-    /// refactor, keys included.
+    /// Planning through a pool stays thread-count invariant, keys
+    /// included: a pool filled at any budget answers every region of a
+    /// single-threaded re-plan.
     #[test]
     fn plan_file_thread_invariant((records, file_size) in phased_workload()) {
         let m = model();
         let mut sorted = records;
         sorted.sort_by_key(|r| r.offset);
-        let empty = PlanReuse::new();
-        let reference = plan_file(
-            &SimContext::new().with_threads(1),
-            &m, &sorted, file_size, &division(), &optimizer(), Some(&empty),
-        );
-        for threads in [2usize, 8] {
-            let got = plan_file(
+        let plan = |threads: usize, pool: &mut RegionPlanCache| {
+            plan_file(
                 &SimContext::new().with_threads(threads),
-                &m, &sorted, file_size, &division(), &optimizer(), Some(&empty),
-            );
+                &m, &sorted, file_size, &division(), &optimizer(), Some(pool),
+            )
+        };
+        let reference = plan(1, &mut RegionPlanCache::new(64));
+        for threads in [2usize, 8] {
+            let mut pool = RegionPlanCache::new(64);
+            let got = plan(threads, &mut pool);
             prop_assert_eq!(&got.rst, &reference.rst);
-            prop_assert_eq!(&got.region_plans, &reference.region_plans);
+            prop_assert_eq!(got.planned, reference.planned);
+            let again = plan(1, &mut pool);
+            prop_assert_eq!(&again.rst, &reference.rst);
+            prop_assert_eq!(again.planned, 0);
         }
     }
 }

@@ -17,13 +17,12 @@
 //!    *different* traces that bucket identically share one cached plan,
 //!    which need not equal what planning the second trace from scratch
 //!    would have produced.
-//! 2. **Incremental re-planning** — on a miss (or a stale hit after
-//!    online adaptation), per-region grid results are recycled from the
-//!    stale entry, the tenant's previous plan, and a cross-tenant region
-//!    pool; only regions whose exact search input changed re-run
-//!    Algorithm 2. Unlike tier 1, reuse here is bit-identical to the
-//!    uncached computation by construction — the region key is the exact
-//!    grid-search input.
+//! 2. **Region pool** — on a miss (or a stale hit after online
+//!    adaptation), every region is looked up in one cross-tenant pool of
+//!    per-region grid results; only regions whose exact search input is
+//!    not there re-run Algorithm 2. Unlike tier 1, reuse here is
+//!    bit-identical to the uncached computation by construction — the
+//!    region key is the exact grid-search input.
 //! 3. **Batched RST updates** — online-drift adaptations from concurrent
 //!    tenants are enqueued, then coalesced (last-writer-wins per tenant ×
 //!    region) and applied in canonical order once per service tick
@@ -48,9 +47,9 @@
 )]
 
 use harl_core::{
-    fingerprint_sorted, plan_file_with, CacheLookup, CacheStats, CachedPlan, MultiProfileModel,
-    OnlineConfig, OnlineMonitor, OptimizerConfig, PlanCache, PlanReuse, RegionDivisionConfig,
-    RegionPlanCache, RegionStripeTable, Trace, TraceRecord, WorkloadFingerprint,
+    fingerprint_sorted, plan_file, CacheLookup, CacheStats, MultiProfileModel, OnlineConfig,
+    OnlineMonitor, OptimizerConfig, PlanCache, RegionDivisionConfig, RegionPlanCache,
+    RegionStripeTable, Trace, TraceRecord, WorkloadFingerprint,
 };
 use harl_simcore::{registry, SimContext};
 use serde::{Deserialize, Serialize};
@@ -62,9 +61,9 @@ pub struct ServeConfig {
     /// Whole-plan cache capacity (plans; 0 disables plan caching).
     pub plan_cache_capacity: usize,
     /// Cross-tenant per-region grid-result pool capacity. 0 disables
-    /// incremental re-planning entirely (every reuse tier, including a
-    /// tenant's own previous plan): the cold baseline to time a warm
-    /// service against.
+    /// incremental re-planning entirely (every region of every miss and
+    /// stale refresh is searched, and no region key is computed): the cold
+    /// baseline to time a warm service against.
     pub region_cache_capacity: usize,
     /// Algorithm 1 tuning shared by fingerprinting and planning (the two
     /// must agree, or fingerprint regions would not match plan regions).
@@ -93,9 +92,9 @@ pub enum PlanOutcome {
     /// Whole plan served from the cache.
     CacheHit,
     /// A cached plan existed but was invalidated by online adaptation;
-    /// re-planned with its per-region results recycled.
+    /// re-planned through the region pool.
     StaleRefresh,
-    /// No cached plan; planned (with any available per-region reuse).
+    /// No cached plan; planned through the region pool.
     Miss,
 }
 
@@ -116,8 +115,8 @@ pub struct PlanTicket {
     pub rst: RegionStripeTable,
     /// How the plan was produced.
     pub outcome: PlanOutcome,
-    /// Regions answered from cached grid results (0 on a cache hit: no
-    /// region was even considered).
+    /// Regions answered from the region pool (0 on a cache hit: no region
+    /// was even considered).
     pub reused_regions: usize,
     /// Regions whose grid search ran.
     pub planned_regions: usize,
@@ -131,9 +130,6 @@ struct Tenant {
     rst: RegionStripeTable,
     /// Fingerprint of the workload the layout was planned for.
     fingerprint: WorkloadFingerprint,
-    /// The tenant's own per-region grid results (reuse on its next
-    /// re-plan).
-    region_plans: PlanReuse,
     /// Drift monitor over the live stream.
     monitor: OnlineMonitor,
 }
@@ -162,13 +158,13 @@ pub struct ServeStats {
     pub cache: CacheStats,
     /// Plans currently cached.
     pub cache_len: usize,
-    /// Regions answered from cached grid results across all submissions.
+    /// Regions answered from the region pool across all submissions.
     pub regions_reused: u64,
     /// Regions whose grid search ran across all submissions.
     pub regions_planned: u64,
-    /// Cross-tenant region-pool `(hits, misses)` (pool lookups only;
-    /// reuse answered by a stale entry or the tenant's own plan does not
-    /// reach the pool).
+    /// Region-pool `(hits, misses)`. Every region a miss or stale refresh
+    /// considers is looked up in the pool, so while it is enabled this
+    /// repeats `(regions_reused, regions_planned)`.
     pub region_pool: (u64, u64),
     /// Adaptation updates enqueued by online drift.
     pub batch_enqueued: u64,
@@ -276,11 +272,11 @@ impl PlanningService {
 
     /// Submit one tenant's trace for planning.
     ///
-    /// Fingerprint → cache lookup → (on miss/stale) incremental plan with
-    /// every available reuse tier. Adopting the returned layout replaces
-    /// the tenant's monitored state unless the submission is a cache hit
-    /// of the workload the tenant already runs (then the live monitor —
-    /// drift evidence included — is kept).
+    /// Fingerprint → cache lookup → (on miss/stale) a plan through the
+    /// region pool. Adopting the returned layout replaces the tenant's
+    /// monitored state unless the submission is a cache hit of the
+    /// workload the tenant already runs (then the live monitor — drift
+    /// evidence included — is kept).
     pub fn submit(
         &mut self,
         ctx: &SimContext,
@@ -291,8 +287,8 @@ impl PlanningService {
         let sorted = trace.sorted_by_offset();
         let fp = fingerprint_sorted(&sorted, file_size, &self.cfg.division, &self.model);
         self.submits += 1;
-        let (ticket, region_pool_delta) = match self.cache.lookup(&fp) {
-            CacheLookup::Hit(plan) => {
+        let ticket = match self.cache.lookup(&fp) {
+            CacheLookup::Hit(rst) => {
                 let keep = self
                     .tenants
                     .get(&tenant)
@@ -302,48 +298,36 @@ impl PlanningService {
                     // (its drift evidence) and the served table as-is.
                     self.tenants[&tenant].rst.clone()
                 } else {
-                    self.install_tenant(ctx, tenant, fp.clone(), &plan, &sorted);
-                    plan.rst
+                    self.install_tenant(ctx, tenant, fp, &rst, &sorted);
+                    rst
                 };
-                (
-                    PlanTicket {
-                        rst,
-                        outcome: PlanOutcome::CacheHit,
-                        reused_regions: 0,
-                        planned_regions: 0,
-                    },
-                    (0, 0),
-                )
+                PlanTicket {
+                    rst,
+                    outcome: PlanOutcome::CacheHit,
+                    reused_regions: 0,
+                    planned_regions: 0,
+                }
             }
-            CacheLookup::Stale(old) => self.plan_submission(
+            CacheLookup::Stale => self.plan_submission(
                 ctx,
                 tenant,
                 fp,
                 &sorted,
                 file_size,
-                old.region_plans.into_iter().collect(),
                 PlanOutcome::StaleRefresh,
             ),
-            CacheLookup::Miss => self.plan_submission(
-                ctx,
-                tenant,
-                fp,
-                &sorted,
-                file_size,
-                PlanReuse::new(),
-                PlanOutcome::Miss,
-            ),
+            CacheLookup::Miss => {
+                self.plan_submission(ctx, tenant, fp, &sorted, file_size, PlanOutcome::Miss)
+            }
         };
         self.regions_reused += ticket.reused_regions as u64;
         self.regions_planned += ticket.planned_regions as u64;
-        self.record_submit(ctx, &ticket, region_pool_delta);
+        self.record_submit(ctx, &ticket);
         ticket
     }
 
-    /// The miss/stale path: plan with chained reuse (donor entry → the
-    /// tenant's previous plan → the cross-tenant pool), then cache and
+    /// The miss/stale path: plan through the region pool, then cache and
     /// adopt the result.
-    #[allow(clippy::too_many_arguments)]
     fn plan_submission(
         &mut self,
         ctx: &SimContext,
@@ -351,81 +335,35 @@ impl PlanningService {
         fp: WorkloadFingerprint,
         sorted: &[TraceRecord],
         file_size: u64,
-        donor: PlanReuse,
         outcome: PlanOutcome,
-    ) -> (PlanTicket, (u64, u64)) {
-        let reuse_enabled = self.cfg.region_cache_capacity > 0;
-        let donor = if reuse_enabled {
-            donor
-        } else {
-            PlanReuse::new()
-        };
-        let tenant_reuse = if reuse_enabled {
-            self.tenants
-                .get(&tenant)
-                .map(|t| t.region_plans.clone())
-                .unwrap_or_default()
-        } else {
-            PlanReuse::new()
-        };
-        let region_cache = &mut self.region_cache;
-        let mut pool_hits = 0u64;
-        let mut pool_misses = 0u64;
-        let planned = plan_file_with(
+    ) -> PlanTicket {
+        let pool = (self.cfg.region_cache_capacity > 0).then_some(&mut self.region_cache);
+        let planned = plan_file(
             ctx,
             &self.model,
             sorted,
             file_size,
             &self.cfg.division,
             &self.cfg.optimizer,
-            |key| {
-                if let Some(choice) = donor.get(key) {
-                    return Some(choice.clone());
-                }
-                if let Some(choice) = tenant_reuse.get(key) {
-                    return Some(choice.clone());
-                }
-                match region_cache.get(key) {
-                    Some(choice) => {
-                        pool_hits += 1;
-                        Some(choice)
-                    }
-                    None => {
-                        pool_misses += 1;
-                        None
-                    }
-                }
-            },
+            pool,
         );
-        // Bank every per-region result (inserting reused keys refreshes
-        // their recency) and memoise the whole plan.
-        for (key, choice) in &planned.region_plans {
-            self.region_cache.insert(key.clone(), choice.clone());
+        self.cache.insert(fp.clone(), planned.rst.clone());
+        self.install_tenant(ctx, tenant, fp, &planned.rst, sorted);
+        PlanTicket {
+            rst: planned.rst,
+            outcome,
+            reused_regions: planned.reused,
+            planned_regions: planned.planned,
         }
-        let cached = CachedPlan {
-            rst: planned.rst.clone(),
-            region_plans: planned.region_plans.clone(),
-        };
-        self.cache.insert(fp.clone(), cached.clone());
-        self.install_tenant(ctx, tenant, fp, &cached, sorted);
-        (
-            PlanTicket {
-                rst: planned.rst,
-                outcome,
-                reused_regions: planned.reused,
-                planned_regions: planned.planned,
-            },
-            (pool_hits, pool_misses),
-        )
     }
 
-    /// Adopt a plan for a tenant: served table, reuse set, fresh monitor.
+    /// Adopt a plan for a tenant: served table and a fresh monitor.
     fn install_tenant(
         &mut self,
         ctx: &SimContext,
         tenant: u64,
         fp: WorkloadFingerprint,
-        plan: &CachedPlan,
+        rst: &RegionStripeTable,
         sorted: &[TraceRecord],
     ) {
         // A new plan replaces the tenant's table (and monitor) wholesale:
@@ -437,26 +375,19 @@ impl PlanningService {
         let before = self.pending.len();
         self.pending.retain(|u| u.tenant != tenant);
         self.batch_coalesced += (before - self.pending.len()) as u64;
-        let planned_avg = planned_averages(&plan.rst, sorted);
+        let planned_avg = planned_averages(rst, sorted);
         let monitor = OnlineMonitor::new(
             self.model.clone(),
-            plan.rst.clone(),
+            rst.clone(),
             planned_avg,
             self.cfg.online.clone(),
         )
-        .with_context(ctx)
-        .with_region_cache(self.cfg.region_cache_capacity);
-        let region_plans = if self.cfg.region_cache_capacity > 0 {
-            plan.region_plans.iter().cloned().collect()
-        } else {
-            PlanReuse::new()
-        };
+        .with_context(ctx);
         self.tenants.insert(
             tenant,
             Tenant {
-                rst: plan.rst.clone(),
+                rst: rst.clone(),
                 fingerprint: fp,
-                region_plans,
                 monitor,
             },
         );
@@ -550,7 +481,7 @@ impl PlanningService {
     }
 
     /// Emit the per-submission metrics (recorder-gated).
-    fn record_submit(&mut self, ctx: &SimContext, ticket: &PlanTicket, pool: (u64, u64)) {
+    fn record_submit(&mut self, ctx: &SimContext, ticket: &PlanTicket) {
         if !ctx.recorder().is_enabled() {
             return;
         }
@@ -576,12 +507,6 @@ impl PlanningService {
                 &[],
                 ticket.planned_regions as u64,
             );
-        }
-        if pool.0 > 0 {
-            r.counter_add(registry::HARL_CACHE_REGION_HITS.name, &[], pool.0);
-        }
-        if pool.1 > 0 {
-            r.counter_add(registry::HARL_CACHE_REGION_MISSES.name, &[], pool.1);
         }
         let evictions = self.cache.stats().evictions;
         if evictions > self.recorded_evictions {
@@ -679,7 +604,7 @@ mod tests {
 
     #[test]
     fn cache_hit_matches_direct_policy_plan() {
-        // The serve path (fingerprint + cache + plan_file_with) must hand
+        // The serve path (fingerprint + cache + plan_file) must hand
         // out exactly what HarlPolicy::plan computes for the same inputs.
         let mut svc = service();
         let ctx = SimContext::new();
@@ -741,7 +666,7 @@ mod tests {
         // The tenant's served table diverged from the plan.
         assert_ne!(svc.tenant_rst(1), Some(&first.rst));
         // Resubmitting the original workload now sees a stale entry and
-        // recycles its per-region results.
+        // finds every region in the pool.
         let refresh = svc.submit(&ctx, 1, &trace, size);
         assert_eq!(refresh.outcome, PlanOutcome::StaleRefresh);
         assert_eq!(refresh.rst, first.rst, "same workload, same plan");
@@ -891,7 +816,7 @@ mod tests {
         for _ in 0..3 {
             let t = svc.submit(&ctx, 1, &trace, size);
             assert_eq!(t.outcome, PlanOutcome::Miss);
-            assert_eq!(t.reused_regions, 0, "no reuse tier is available");
+            assert_eq!(t.reused_regions, 0, "the region pool is off");
         }
         assert_eq!(svc.stats().cache.hits, 0);
     }

@@ -223,8 +223,8 @@ metrics! {
     /// Plan-cache lookups that found nothing reusable.
     HARL_CACHE_MISSES = ("harl.cache.misses", Counter, Count,
         "workload-fingerprint plan-cache misses");
-    /// Plan-cache lookups that found an invalidated entry (its per-region
-    /// grid results are still recycled).
+    /// Plan-cache lookups that found an invalidated entry (the refresh
+    /// re-plans through the region pool).
     HARL_CACHE_STALE = ("harl.cache.stale", Counter, Count,
         "workload-fingerprint plan-cache stale hits");
     /// Plans evicted by the deterministic LRU when the cache is full.
@@ -233,12 +233,6 @@ metrics! {
     /// Current number of cached whole-file plans.
     HARL_CACHE_SIZE = ("harl.cache.size", Gauge, Count,
         "cached whole-file plans resident in the plan cache");
-    /// Per-region grid results reused from the region plan cache.
-    HARL_CACHE_REGION_HITS = ("harl.cache.region_hits", Counter, Count,
-        "per-region grid results reused from the region plan cache");
-    /// Per-region grid searches that had to run (region-cache misses).
-    HARL_CACHE_REGION_MISSES = ("harl.cache.region_misses", Counter, Count,
-        "per-region grid searches not answerable from the region cache");
 
     // --- mw.serve.* — multi-tenant planning service ----------------------
     /// Plan requests served, labelled by `outcome` (hit/stale/miss).
