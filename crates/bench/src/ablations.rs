@@ -95,6 +95,9 @@ pub fn abl_region(scale: &Scale) -> FigureResult {
 }
 
 /// Grid-step ablation: precision vs analysis cost of Algorithm 2.
+// The wall-clock harness: `wall_s` is real planning time, reported beside
+// the simulated results and never fed back into them.
+#[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 pub fn abl_step(scale: &Scale) -> FigureResult {
     let cluster = ClusterConfig::paper_default();
     let model = MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());

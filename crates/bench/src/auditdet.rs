@@ -1,15 +1,15 @@
 //! Runtime determinism auditor — `harl-cli audit-determinism`.
 //!
-//! The static analyzer (harl-lint) bans the *patterns* that break
-//! bit-determinism; this module audits the *property* itself: it re-runs
-//! the pinned scenarios at several thread budgets and two seeds, hashes
-//! every artifact a run produces (the report JSON and the recorded
-//! metrics JSONL), and fails on any byte difference across thread
-//! budgets. For the default seed it additionally byte-compares the
-//! report against the committed golden, so golden drift and thread-count
-//! sensitivity are caught by one command. Every report must also hold
-//! its invariants (`check_run`, `check_serve`) on every seed and thread
-//! budget.
+//! Clippy's determinism bans (`crates/clippy.toml`) reject the
+//! *patterns* that break bit-determinism; this module audits the
+//! *property* itself: it re-runs the pinned scenarios at several thread
+//! budgets and two seeds, hashes every artifact a run produces (the
+//! report JSON and the recorded metrics JSONL), and fails on any byte
+//! difference across thread budgets. For the default seed it
+//! additionally byte-compares the report against the committed golden, so
+//! golden drift and thread-count sensitivity are caught by one command.
+//! Every report must also hold its invariants (`check_run`,
+//! `check_serve`) on every seed and thread budget.
 //!
 //! Wall-clock series (`harl.optimizer.plan_wall_s`, `sim.profile.*`) are
 //! the audited exceptions to determinism — they measure real machine
@@ -72,8 +72,9 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Drop wall-clock metric lines from a metrics JSONL dump: those series
-/// measure real machine time by design (they carry the same audited
-/// exception in `lint.allow.toml`) and must not poison the artifact hash.
+/// measure real machine time by design (their timers carry the same
+/// reasoned `#[allow(clippy::disallowed_methods)]`) and must not poison
+/// the artifact hash.
 pub fn strip_wall_metrics(jsonl: &str) -> String {
     let mut out = String::with_capacity(jsonl.len());
     for line in jsonl.lines() {

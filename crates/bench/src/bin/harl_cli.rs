@@ -367,6 +367,14 @@ fn cmd_simulate(opts: &Opts) {
         &workload,
         &CollectiveConfig::default(),
     );
+    if report.makespan == SimNanos::MAX {
+        eprintln!(
+            "simulated time overflowed: the makespan reached the u64 limit of {} ns, \
+             so a service time in this replay is too large to simulate",
+            u64::MAX
+        );
+        std::process::exit(1);
+    }
     if recording {
         let model =
             MultiProfileModel::from_cluster_calibrated(&cluster, &CalibrationConfig::default());

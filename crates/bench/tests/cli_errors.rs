@@ -323,3 +323,52 @@ fn run_on_a_file_too_small_for_one_request_per_process_exits_1() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn run_whose_simulated_time_overflows_exits_1() {
+    use harl_repro::prelude::{AccessOrder, IorConfig, OpKind, Scenario, WorkloadSpec};
+
+    // A 10^15× slowdown, or one 2^61-byte request, gives a service time
+    // past u64::MAX nanoseconds; the clock must peg, not wrap into an
+    // event scheduled before the current time.
+    let dir = inputs("time-overflow", "{}");
+    let smoke = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/smoke.json"),
+    )
+    .expect("read the smoke scenario");
+    let slow = smoke.replace(r#""slowdown": 2.0"#, r#""slowdown": 1e15"#);
+    assert_ne!(slow, smoke, "the smoke scenario has a 2x fault");
+    let huge = Scenario::new(WorkloadSpec::Ior(IorConfig {
+        processes: 1,
+        request_size: 1 << 61,
+        file_size: 1 << 62,
+        op: OpKind::Read,
+        order: AccessOrder::Sequential,
+        seed: 1,
+    }))
+    .to_json_pretty();
+    for (i, scenario) in [slow, huge].into_iter().enumerate() {
+        let path = dir.join(format!("scenario-{i}.json"));
+        std::fs::write(&path, scenario).expect("write the scenario");
+        let stderr = expect_exit(&["run", "--scenario", path.to_str().unwrap()], 1);
+        assert!(stderr.contains("simulated time overflowed"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn simulate_whose_simulated_time_overflows_exits_1() {
+    // One 2^62-byte read striped over every server.
+    let dir = inputs(
+        "simulate-overflow",
+        r#"{"entries": [{"offset": 0, "len": 4611686018427387904, "h": 65536, "s": 65536}]}"#,
+    );
+    std::fs::write(
+        dir.join("trace.jsonl"),
+        "{\"rank\":0,\"fd\":0,\"op\":\"Read\",\"offset\":0,\"size\":4611686018427387904,\"timestamp\":0}\n",
+    )
+    .expect("write the trace");
+    let stderr = simulate(&dir, &[], 1);
+    assert!(stderr.contains("simulated time overflowed"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

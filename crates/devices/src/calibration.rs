@@ -62,10 +62,8 @@ fn least_squares(xs: &[f64], ys: &[f64]) -> (f64, f64) {
 fn estimate_op(device: &StorageProfile, op: OpKind, cfg: &CalibrationConfig) -> OpParams {
     assert!(
         cfg.probe_sizes
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-            >= 2,
+            .first()
+            .is_some_and(|first| cfg.probe_sizes.iter().any(|s| s != first)),
         "calibration needs at least two distinct probe sizes"
     );
     assert!(

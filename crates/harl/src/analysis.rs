@@ -89,7 +89,7 @@ pub fn summarize_records(records: &[TraceRecord]) -> TraceSummary {
     // Sequentiality: per rank, in record order (collection order is issue
     // order), how often does a request continue the previous one? The map
     // holds each rank's expected next offset (end of its last request).
-    let mut next_per_rank: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+    let mut next_per_rank: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
     let mut continuations = 0usize;
     let mut pairs = 0usize;
     for r in records {

@@ -33,6 +33,8 @@ use crate::optimizer::{effective_step, gcd, SampleRuns};
 use harl_devices::{CalibrationConfig, NetworkProfile, OpKind, OpParams, StorageProfile};
 use harl_pfs::ClusterConfig;
 use serde::{Deserialize, Serialize};
+// The descent memo (`Scorer::memo`) is only looked up and inserted into.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 
 /// One server class in the K-profile model.
@@ -330,7 +332,9 @@ struct Scorer {
     /// One vector's per-shape floors and floor of runs `i..`; reused.
     shape_floors: Vec<f64>,
     after: Vec<f64>,
-    /// Looked up and inserted into only, never iterated.
+    /// Looked up and inserted into only, never iterated, so hash order
+    /// cannot reach a result.
+    #[allow(clippy::disallowed_types)]
     memo: HashMap<Vec<u64>, Known>,
     /// Width vectors scored, memo hits and pruned vectors included.
     scored: u64,
@@ -344,6 +348,7 @@ impl Scorer {
             costs: Vec::new(),
             shape_floors: Vec::new(),
             after: Vec::new(),
+            #[allow(clippy::disallowed_types)]
             memo: HashMap::new(),
             scored: 0,
         }

@@ -267,8 +267,12 @@ pub fn optimize_region(
     if !recorder.is_enabled() {
         return optimize_region_sampled(model, requests, avg_request_size, cfg).0;
     }
+    // plan_wall_s is real planning latency for the recorder; it never
+    // feeds simulated time or a layout decision.
+    #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
     let start = std::time::Instant::now();
     let (choice, sampled, scored) = optimize_region_sampled(model, requests, avg_request_size, cfg);
+    #[allow(clippy::disallowed_methods)]
     let wall = start.elapsed();
     let labels = [("region", region.to_string())];
     recorder.counter_add(registry::HARL_OPTIMIZER_CANDIDATES.name, &labels, scored);
@@ -597,6 +601,9 @@ fn pick_better(a: StripeChoice, b: StripeChoice) -> StripeChoice {
 /// them concurrently is coarse-grained and cache-friendly. Each index
 /// writes into its own slot, so the output (and therefore the planned
 /// layout) is identical for every thread count.
+// The one scoped fan-out: it joins in spawn order, so its results are
+// index-ordered whatever order the workers finish in.
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn fan_out<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,

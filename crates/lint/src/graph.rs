@@ -290,7 +290,7 @@ pub(crate) fn matching_brace(toks: &[Tok], open: usize, end: usize) -> usize {
 }
 
 /// Index of the `)` matching the `(` at `open`, by the same rule.
-pub(crate) fn matching_paren(toks: &[Tok], open: usize) -> usize {
+fn matching_paren(toks: &[Tok], open: usize) -> usize {
     skip_balanced(toks, open, toks.len(), "(", ")").saturating_sub(1)
 }
 

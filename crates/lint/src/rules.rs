@@ -3,51 +3,33 @@
 //! Every rule has the same shape: given a repo-relative path, the tokens,
 //! the `#[cfg(test)]` mask, and the raw source lines, it appends
 //! [`Finding`]s. Which rules run on which files is decided by the caller
-//! (see the scope tables in `lib.rs`); rules themselves are scope-free so
-//! the fixture tests can aim any rule at any snippet.
+//! (see [`crate::scan_source`]); rules themselves are scope-free so the
+//! fixture tests can aim any rule at any snippet.
 
 use crate::graph::fn_signature;
 use crate::lexer::{Tok, TokKind};
 use crate::Finding;
 
-/// Rule names, used in findings and in `lint.allow.toml` entries.
-pub const RULE_DETERMINISM: &str = "determinism";
-/// See [`simcontext_first`].
+/// Rule name used in findings; see [`simcontext_first`].
 pub const RULE_SIMCONTEXT: &str = "simcontext-first";
 /// See [`metric_registry`].
 pub const RULE_METRIC: &str = "metric-registry";
-/// See [`crate::semantic::map_iteration_order`].
-pub const RULE_MAP_ITER: &str = "map-iteration-order";
-/// See [`crate::semantic::unordered_parallel_merge`].
-pub const RULE_PAR_MERGE: &str = "unordered-parallel-merge";
 /// See [`crate::semantic::float_accumulation`].
 pub const RULE_FLOAT_ACC: &str = "float-accumulation";
-/// Emitted by the allowlist pass for entries that match nothing.
-pub const RULE_STALE_ALLOW: &str = "stale-allow";
 
-/// Every rule an allowlist entry may name.
-pub const RULES: &[&str] = &[
-    RULE_DETERMINISM,
-    RULE_SIMCONTEXT,
-    RULE_METRIC,
-    RULE_MAP_ITER,
-    RULE_PAR_MERGE,
-    RULE_FLOAT_ACC,
-];
+/// Every rule harl-lint runs.
+pub const RULES: &[&str] = &[RULE_SIMCONTEXT, RULE_METRIC, RULE_FLOAT_ACC];
 
 /// Stable rule id and documentation anchor for a rule name, printed on
 /// each finding's trailing `= HLnnn: …` line so a report links straight
 /// to the rationale.
 pub fn rule_doc(rule: &str) -> (&'static str, &'static str) {
     match rule {
-        RULE_DETERMINISM => ("HL001", "DESIGN.md#rules-and-scopes"),
-        // HL002–HL004, HL006 and HL008 are retired; ids are never reused.
+        // HL000–HL004, HL006 and HL008–HL010 are retired; ids are never
+        // reused.
         RULE_SIMCONTEXT => ("HL005", "DESIGN.md#rules-and-scopes"),
         RULE_METRIC => ("HL007", "DESIGN.md#rules-and-scopes"),
-        RULE_MAP_ITER => ("HL009", "DESIGN.md#rules-and-scopes"),
-        RULE_PAR_MERGE => ("HL010", "DESIGN.md#rules-and-scopes"),
         RULE_FLOAT_ACC => ("HL011", "DESIGN.md#rules-and-scopes"),
-        RULE_STALE_ALLOW => ("HL000", "DESIGN.md#the-allowlist-ratchet"),
         _ => (
             "HL999",
             "DESIGN.md#appendix-d-harl-lint-project-specific-static-analysis",
@@ -72,70 +54,7 @@ pub(crate) fn push(
         line,
         message,
         snippet,
-        allowed: false,
     });
-}
-
-/// **determinism** — no wall-clock or ambient entropy in simulated-time
-/// code. Flags `Instant`, `SystemTime`, `UNIX_EPOCH`, `std::env::var*`,
-/// and `thread_rng`/`from_entropy`. Simulations must depend only on the
-/// `Scenario` and the seed; wall-clock metric sites (e.g. `plan_wall_s`)
-/// go in `lint.allow.toml` with a justification.
-pub fn determinism(
-    path: &str,
-    toks: &[Tok],
-    mask: &[bool],
-    lines: &[&str],
-    out: &mut Vec<Finding>,
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "Instant" | "SystemTime" | "UNIX_EPOCH" => push(
-                out,
-                RULE_DETERMINISM,
-                path,
-                t.line,
-                format!(
-                    "wall-clock `{}` in simulated-time code; use simcore::time, or allowlist a \
-                     metrics-only site",
-                    t.text
-                ),
-                lines,
-            ),
-            "thread_rng" | "from_entropy" => push(
-                out,
-                RULE_DETERMINISM,
-                path,
-                t.line,
-                format!(
-                    "ambient entropy `{}`; derive randomness from the scenario seed",
-                    t.text
-                ),
-                lines,
-            ),
-            "env"
-                if toks.get(i + 1).is_some_and(|n| n.text == "::")
-                    && toks.get(i + 2).is_some_and(|n| {
-                        matches!(n.text.as_str(), "var" | "var_os" | "vars" | "vars_os")
-                    }) =>
-            {
-                push(
-                    out,
-                    RULE_DETERMINISM,
-                    path,
-                    t.line,
-                    "environment lookup in simulated-time code; thread configuration through \
-                     the Scenario instead"
-                        .to_string(),
-                    lines,
-                );
-            }
-            _ => {}
-        }
-    }
 }
 
 /// **simcontext-first** — a `fn` that takes `&SimContext` takes it as the

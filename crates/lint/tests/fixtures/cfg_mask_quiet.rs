@@ -1,9 +1,8 @@
-// The cfg(test) mask must silence the semantic rules inside a
+// The cfg(test) mask must silence the semantic rule inside a
 // `#[cfg(test)]` impl block and inside a nested mod under
 // `#[cfg(test)] mod tests` — the two shapes the old flat attribute scan
-// got wrong. The single unmasked trigger at the bottom proves the rules
-// still run on the rest of the file.
-use std::collections::HashMap;
+// got wrong. The single unmasked trigger at the bottom proves the rule
+// still runs on the rest of the file.
 
 pub struct T;
 
@@ -21,12 +20,8 @@ impl T {
 #[cfg(test)]
 mod tests {
     mod nested {
-        use std::collections::HashMap;
-
-        pub fn leak(m: &HashMap<u64, u64>, out: &mut Vec<u64>) {
-            for k in m.keys() {
-                out.push(*k);
-            }
+        pub fn total(xs: &[f64]) -> f64 {
+            xs.iter().copied().sum::<f64>()
         }
     }
 }

@@ -280,20 +280,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Earliest pending time, or `None` if the queue is empty. Positions
-    /// the cursor as a side effect (shares all work with `pop`).
-    pub(crate) fn peek_at(&mut self) -> Option<SimNanos> {
-        if !self.settle() {
-            return None;
-        }
-        let head = self.cur.get(self.cur_pos).map(|k| k.at);
-        let extra = self.cur_extra.peek().map(|Reverse(k)| k.at);
-        match (head, extra) {
-            (Some(h), Some(e)) => Some(h.min(e)),
-            (h, e) => h.or(e),
-        }
-    }
-
     /// Remove and return the earliest `(at, seq)` event.
     pub(crate) fn pop(&mut self) -> Option<(SimNanos, E)> {
         if !self.settle() {
@@ -514,19 +500,6 @@ mod tests {
         }
         // One live event at a time: the slab never grows past one slot.
         assert_eq!(q.slots.len(), 1);
-    }
-
-    #[test]
-    fn peek_matches_pop_without_consuming() {
-        let mut q = CalendarQueue::new();
-        assert_eq!(q.peek_at(), None);
-        q.push(SimNanos(40), 0, 0);
-        q.push(SimNanos(30), 1, 1);
-        assert_eq!(q.peek_at(), Some(SimNanos(30)));
-        assert_eq!(q.peek_at(), Some(SimNanos(30)));
-        assert_eq!(q.pop(), Some((SimNanos(30), 1)));
-        assert_eq!(q.peek_at(), Some(SimNanos(40)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -221,29 +221,6 @@ impl<E> Engine<E> {
             handler(&mut self.sched, at, event);
         }
     }
-
-    /// Run until the queue is empty or simulated time would pass `deadline`.
-    ///
-    /// Events strictly after `deadline` remain queued; returns `true` if the
-    /// queue was drained, `false` if the deadline stopped the run.
-    pub fn run_until<F>(&mut self, deadline: SimNanos, mut handler: F) -> bool
-    where
-        F: FnMut(&mut Scheduler<E>, SimNanos, E),
-    {
-        loop {
-            match self.sched.queue.peek_at() {
-                None => return true,
-                Some(at) if at > deadline => return false,
-                Some(_) => {}
-            }
-            let Some((at, event)) = self.sched.pop() else {
-                return true;
-            };
-            self.sched.now = at;
-            self.dispatched += 1;
-            handler(&mut self.sched, at, event);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -309,22 +286,6 @@ mod tests {
         eng.run(|sched, _, _| {
             sched.schedule(SimNanos(50), Ev::B);
         });
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut eng = Engine::new();
-        eng.schedule(SimNanos(10), Ev::A);
-        eng.schedule(SimNanos(20), Ev::B);
-        eng.schedule(SimNanos(30), Ev::C(0));
-        let mut seen = 0;
-        let drained = eng.run_until(SimNanos(20), |_, _, _| seen += 1);
-        assert!(!drained);
-        assert_eq!(seen, 2);
-        // Remaining event still delivered on a later full run.
-        let drained = eng.run_until(SimNanos::MAX, |_, _, _| seen += 1);
-        assert!(drained);
-        assert_eq!(seen, 3);
     }
 
     #[test]

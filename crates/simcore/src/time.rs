@@ -87,12 +87,6 @@ impl SimNanos {
         SimNanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: SimNanos) -> SimNanos {
-        SimNanos(self.0.saturating_add(rhs.0))
-    }
-
     /// The later of two times.
     #[inline]
     pub fn max(self, rhs: SimNanos) -> SimNanos {
@@ -120,18 +114,21 @@ impl SimNanos {
     }
 }
 
+/// Addition saturates: a run whose clock would pass [`SimNanos::MAX`]
+/// pegs there instead of wrapping, so event times stay monotone and a
+/// caller can report the overflow by checking the makespan.
 impl Add for SimNanos {
     type Output = SimNanos;
     #[inline]
     fn add(self, rhs: SimNanos) -> SimNanos {
-        SimNanos(self.0 + rhs.0)
+        SimNanos(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimNanos {
     #[inline]
     fn add_assign(&mut self, rhs: SimNanos) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -221,6 +218,11 @@ mod tests {
         assert_eq!(a * 2, SimNanos::from_millis(6));
         assert_eq!(a / 3, SimNanos::from_millis(1));
         assert_eq!(b.saturating_sub(a), SimNanos::ZERO);
+        // Addition pegs at MAX instead of wrapping.
+        let mut t = SimNanos(u64::MAX - 5);
+        assert_eq!(t + b, SimNanos::MAX);
+        t += SimNanos::from_secs_f64(1e30);
+        assert_eq!(t, SimNanos::MAX);
     }
 
     #[test]

@@ -116,3 +116,29 @@ proptest! {
         prop_assert_eq!(popped, reference);
     }
 }
+
+/// Regression test for the cursor anchor in `CalendarQueue::rebuild`.
+/// A geometry review fires while the only standing event is a
+/// far-future outlier. Were `rebuild` to anchor the cursor at the
+/// earliest pending key, the cursor would jump to the outlier's bucket,
+/// and the handler's next follow-up (100 ns after the popped event) would
+/// land in a bucket below it, tripping `debug_assert!(b == self.base)` in
+/// `CalendarQueue::place`. `rebuild` anchors at the pop time that
+/// triggered the review instead, so the chain runs to completion.
+#[test]
+fn rebuild_anchors_the_cursor_at_the_review_pop_time() {
+    let mut engine: Engine<u32> = Engine::new();
+    // One far-future outlier that is the only pending event at review time.
+    engine.schedule(SimNanos(1_000_000_000_000), 1);
+    // Chain driver: each pop schedules the next 100 ns later, so pops
+    // accumulate while the standing queue stays at exactly one event.
+    engine.schedule(SimNanos::ZERO, 0);
+    let mut hops: u64 = 0;
+    engine.run(|sched, now, ev| {
+        if ev == 0 && hops < 40_000 {
+            hops += 1;
+            sched.schedule(now + SimNanos(100), 0);
+        }
+    });
+    assert_eq!(hops, 40_000);
+}

@@ -530,7 +530,8 @@ impl Scenario {
     /// Run the full pipeline and summarise the outcome.
     ///
     /// The report is deterministic: the same scenario and seed produce
-    /// byte-identical JSON, independent of the thread budget.
+    /// byte-identical JSON, independent of the thread budget. A run whose
+    /// simulated clock saturates at `SimNanos::MAX` is an error.
     pub fn run(&self, base: &SimContext) -> Result<ScenarioReport, String> {
         self.validate()?;
         let cluster = self.build_cluster();
@@ -539,6 +540,13 @@ impl Scenario {
         let ccfg = self.collective.unwrap_or_default();
         let ctx = self.context(base);
         let (rst, report) = trace_plan_run(&ctx, &cluster, policy.as_ref(), &workload, &ccfg);
+        if report.makespan == SimNanos::MAX {
+            return Err(format!(
+                "simulated time overflowed: the makespan reached the u64 limit of {} ns, \
+                 so a service time in this scenario is too large to simulate",
+                u64::MAX
+            ));
+        }
         let plan_cost_usd = plan_dollar_cost(&cluster, &rst, &report);
         if let Some(usd) = plan_cost_usd {
             let recorder = ctx.recorder();
