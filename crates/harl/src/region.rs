@@ -9,9 +9,12 @@
 //!
 //! Sec. III-C's guard against over-fragmentation is also implemented: if
 //! the CV pass produces more regions than a fixed-size division (default
-//! 64 MiB chunks) would, the threshold is raised and the pass re-run, which
+//! 64 MiB chunks) would, the threshold is raised for another round, which
 //! "loosens the algorithm's sensitivity" until the region count (and hence
-//! metadata overhead) is acceptable.
+//! metadata overhead) is acceptable. The rounds do not re-run the pass from
+//! scratch: every round shares the walk up to its first split, and a round
+//! that has already started too many regions stops early, so a division
+//! walks the trace about once however many rounds it takes.
 
 use crate::trace::TraceRecord;
 use harl_simcore::{ByteSize, OnlineStats};
@@ -95,74 +98,99 @@ fn cv_change_pct(cv_prev: f64, cv_new: f64) -> f64 {
     100.0 * (cv_new - cv_prev).abs() / cv_prev.max(CV_FLOOR)
 }
 
-/// One pass of Algorithm 1 at a fixed threshold.
-///
-/// `sorted` must be offset-sorted. `file_size` bounds the final region
-/// (requests may not reach the end of the file).
-fn divide_once(sorted: &[TraceRecord], file_size: u64, threshold_pct: f64) -> Vec<Region> {
-    let mut regions: Vec<Region> = Vec::new();
-    let mut stats = OnlineStats::new(); // running avg/std of the open region
-    let mut cv_prev = 0.0;
-    let mut reg_init = 0usize;
-
-    for (i, rec) in sorted.iter().enumerate() {
-        stats.push(rec.size as f64);
-        let cv_new = stats.cv();
-        if cv_change_pct(cv_prev, cv_new) < threshold_pct {
-            cv_prev = cv_new;
+/// Grow an open region over `sorted[from..]`: `stats` takes each request
+/// until one moves the CV by `threshold_pct` percent or more from
+/// `cv_prev`, the CV before it joined. Returns that request's index, or
+/// `sorted.len()` when none does. The request ends the region inclusively
+/// (per the paper: the logged average includes it and the next region
+/// starts after it), so it stays in `stats` while `cv_prev` keeps the CV
+/// it was tested against.
+// Out of line and on local copies, so the loop keeps its state in
+// registers: inlined into `divide_regions` it spilled the state to the
+// stack and walked about 15 % slower than the pass it replaced.
+#[inline(never)]
+fn grow(
+    sorted: &[TraceRecord],
+    from: usize,
+    threshold_pct: f64,
+    stats: &mut OnlineStats,
+    cv_prev: &mut f64,
+) -> usize {
+    let (mut grown, mut cv) = (stats.clone(), *cv_prev);
+    let mut at = from;
+    for rec in &sorted[from..] {
+        grown.push(rec.size as f64);
+        let cv_new = grown.cv();
+        if cv_change_pct(cv, cv_new) < threshold_pct {
+            cv = cv_new;
+            at += 1;
         } else {
-            // Close the region at request i (inclusive, per the paper: the
-            // logged average includes r_i and the next region starts at
-            // i + 1).
-            let offset = sorted[reg_init].offset;
-            regions.push(Region {
-                offset,
-                end: 0, // patched below once the next region's start is known
-                avg_request_size: stats.mean().round() as u64,
-                first_request: reg_init,
-                last_request: i + 1,
-            });
-            stats = OnlineStats::new();
-            cv_prev = 0.0;
-            reg_init = i + 1;
+            break;
         }
     }
-    // Emit the final open region (implicit in the paper's pseudocode).
-    if reg_init < sorted.len() {
-        regions.push(Region {
-            offset: sorted[reg_init].offset,
-            end: 0,
-            avg_request_size: stats.mean().round() as u64,
-            first_request: reg_init,
-            last_request: sorted.len(),
-        });
-    }
+    (*stats, *cv_prev) = (grown, cv);
+    at
+}
 
-    // Patch region ends: each region runs to the next region's offset; the
-    // last one to the file end. The first region is anchored to offset 0 so
-    // the regions tile the whole file.
-    if let Some(first) = regions.first_mut() {
-        first.offset = 0;
-    }
-    let n = regions.len();
-    for i in 0..n {
-        regions[i].end = if i + 1 < n {
-            regions[i + 1].offset
-        } else {
-            file_size.max(regions[i].offset + 1)
+/// Finish one pass of Algorithm 1 at `threshold_pct` whose first region
+/// `first` ends at request `split` (at the end of the trace when `split`
+/// is past it), writing the regions the pass returns into `regions`.
+///
+/// The first region is anchored to offset 0 and each region runs to the
+/// next one's offset, the last to the file end (`file_size` bounds it even
+/// when requests stop short). A region whose successor starts at the same
+/// offset would be empty (overlapping requests can split there), so it is
+/// merged away as it closes: the pass returns one region per distinct
+/// start offset. That count only grows, so the pass returns false as soon
+/// as it has started more than `limit` regions.
+fn finish_pass(
+    sorted: &[TraceRecord],
+    file_size: u64,
+    threshold_pct: f64,
+    first: OnlineStats,
+    split: usize,
+    limit: usize,
+    regions: &mut Vec<Region>,
+) -> bool {
+    regions.clear();
+    let (mut stats, mut start, mut at, mut offset) = (first, 0, split, 0);
+    loop {
+        // `stats` holds the open region at `offset`, `sorted[start..=at]`.
+        let last_request = (at + 1).min(sorted.len());
+        let next = sorted.get(last_request).map(|rec| rec.offset);
+        if next != Some(offset) {
+            regions.push(Region {
+                offset,
+                end: next.unwrap_or(file_size.max(offset + 1)),
+                avg_request_size: stats.mean().round() as u64,
+                first_request: start,
+                last_request,
+            });
+        }
+        let Some(next) = next else {
+            return true;
         };
+        if regions.len() >= limit {
+            return false;
+        }
+        (stats, start, offset) = (OnlineStats::new(), last_request, next);
+        at = grow(sorted, start, threshold_pct, &mut stats, &mut 0.0);
     }
-    // Offset collisions (several regions starting at the same offset, which
-    // can happen when overlapping requests trigger splits) produce empty
-    // regions; merge them away.
-    regions.retain(|r| !r.is_empty());
-    regions
 }
 
 /// Full Algorithm 1 with the Sec. III-C threshold adaptation.
 ///
 /// Returns regions tiling `[0, file_size)`. An empty trace yields a single
 /// region covering the file with `avg_request_size == 0`.
+///
+/// Round `r` divides at `initial_threshold_pct · threshold_growth^r`. The
+/// first round whose regions fit the fixed-size bound wins, and round
+/// `max_rounds` wins whatever it divides. The rounds share one walk: every
+/// pass grows the same first region until its first split, and a higher
+/// threshold splits no earlier, so each round resumes the first region
+/// where the previous round split it (a lower or NaN threshold starts it
+/// afresh). Every round but the last stops once it has started more
+/// regions than the bound allows.
 pub fn divide_regions(
     sorted: &[TraceRecord],
     file_size: u64,
@@ -187,15 +215,41 @@ pub fn divide_regions(
     let max_regions = file_size.div_ceil(cfg.fixed_region_size).max(1) as usize;
 
     let mut threshold = cfg.initial_threshold_pct;
-    let mut best = divide_once(sorted, file_size, threshold);
-    for _ in 0..cfg.max_rounds {
-        if best.len() <= max_regions {
-            break;
+    let (mut first, mut cv_prev) = (OnlineStats::new(), 0.0);
+    let mut split = grow(sorted, 0, threshold, &mut first, &mut cv_prev);
+    let mut regions = Vec::new();
+    let mut round = 0;
+    loop {
+        let limit = if round == cfg.max_rounds {
+            usize::MAX
+        } else {
+            max_regions
+        };
+        if finish_pass(
+            sorted,
+            file_size,
+            threshold,
+            first.clone(),
+            split,
+            limit,
+            &mut regions,
+        ) {
+            return regions;
         }
+        let grown_at = threshold;
         threshold *= cfg.threshold_growth;
-        best = divide_once(sorted, file_size, threshold);
+        round += 1;
+        if threshold.is_nan() || threshold < grown_at {
+            // A lower threshold may split the first region sooner.
+            (first, cv_prev) = (OnlineStats::new(), 0.0);
+            split = grow(sorted, 0, threshold, &mut first, &mut cv_prev);
+        } else if cv_change_pct(cv_prev, first.cv()) < threshold {
+            // The request that ended the first region joins it now (a pass
+            // without a split fits the bound, so one did end it).
+            cv_prev = first.cv();
+            split = grow(sorted, split + 1, threshold, &mut first, &mut cv_prev);
+        }
     }
-    best
 }
 
 /// Check that regions tile `[0, file_size)` without gaps or overlaps.
