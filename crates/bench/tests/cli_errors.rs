@@ -272,6 +272,16 @@ fn impossible_serve_specs_exit_1() {
             "serve.online.drift_ratio",
             edited(&|s| s.serve.online.drift_ratio = 1.0),
         ),
+        // A threshold that cannot grow repeats the same division every
+        // round; with a huge `max_rounds` that spun until killed.
+        (
+            "serve.division.initial_threshold_pct",
+            edited(&|s| s.serve.division.initial_threshold_pct = 0.0),
+        ),
+        (
+            "serve.division.threshold_growth",
+            edited(&|s| s.serve.division.threshold_growth = 1.0),
+        ),
         // An 8 MiB phase shared by 4,096 processes leaves each 2 KiB,
         // less than the smallest (4 KiB) request.
         ("traffic.processes", edited(&|s| s.traffic.processes = 4096)),

@@ -812,6 +812,16 @@ impl ServeSpec {
         if serve.division.fixed_region_size == 0 {
             return Err("serve.division.fixed_region_size must be > 0 bytes".into());
         }
+        // A threshold that cannot grow would repeat the same over-fragmented
+        // division for every one of `max_rounds` rounds.
+        let initial = serve.division.initial_threshold_pct;
+        if !initial.is_finite() || initial <= 0.0 {
+            return Err("serve.division.initial_threshold_pct must be finite and > 0".into());
+        }
+        let growth = serve.division.threshold_growth;
+        if !growth.is_finite() || growth <= 1.0 {
+            return Err("serve.division.threshold_growth must be finite and exceed 1".into());
+        }
         if serve.online.window == 0 {
             return Err("online window must be positive".into());
         }
