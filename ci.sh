@@ -21,11 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== cargo test --release (core, simcore and middleware) =="
-# The optimizer, floor and collective-lowering oracles, with the code
-# generation harl-cli and the benchmark use; some timing tests only show
-# their faults here.
-cargo test --release -q -p harl-core -p harl-simcore -p harl-middleware
+echo "== cargo test --release (core, simcore, middleware and bench) =="
+# The optimizer, floor, region-division and collective-lowering oracles,
+# the planning-service oracle, the work-count pins and the CLI error exits,
+# with the code generation harl-cli and the benchmark use; some timing
+# tests only show their faults here.
+cargo test --release -q -p harl-core -p harl-simcore -p harl-middleware -p harl-bench
 
 echo "== examples (release) =="
 # Each example asserts on its own narrative (the monitor and planning
