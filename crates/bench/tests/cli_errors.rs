@@ -273,7 +273,7 @@ fn impossible_serve_specs_exit_1() {
             edited(&|s| s.serve.online.drift_ratio = 1.0),
         ),
         // A threshold that cannot grow repeats the same division every
-        // round; with a huge `max_rounds` that spun until killed.
+        // round, so a huge `max_rounds` would spin.
         (
             "serve.division.initial_threshold_pct",
             edited(&|s| s.serve.division.initial_threshold_pct = 0.0),
